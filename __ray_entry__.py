@@ -56,17 +56,32 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None):
 
 def q_groupby_agg(sf_dir: str):
     """Partial-aggregate-then-groupby over lineitem (SURVEY.md §2.5 A6-A8 shape)."""
-    ds = _read(sf_dir, "lineitem",
-               ["l_returnflag", "l_linestatus", "l_quantity",
-                "l_extendedprice", "l_discount"])
+    return groupby_agg(_read(sf_dir, "lineitem",
+                             ["l_returnflag", "l_linestatus", "l_quantity",
+                              "l_extendedprice", "l_discount"]))
+
+
+def groupby_agg(ds: "ray.data.Dataset") -> pd.DataFrame:
+    """Per (returnflag, linestatus): sum_qty, sum_base_price,
+    sum_disc_price and n over 2-decimal lineitem columns.
+
+    Exact: quantities and prices are summed as int64 hundredths and the
+    discounted price as int64 1e-4 units (both factors in hundredths), then
+    converted to double once — float partial sums would make the 4th
+    decimal of a ~5e9 total depend on the block layout."""
+    def hundredths(col: pa.ChunkedArray) -> pa.ChunkedArray:
+        return pc.cast(pc.round(pc.multiply(col, 100.0)), pa.int64())
 
     def partial(t: pa.Table) -> pa.Table:
-        disc_price = pc.multiply(t["l_extendedprice"],
-                                 pc.subtract(pa.scalar(1.0), t["l_discount"]))
-        t = t.append_column("disc_price", disc_price)
+        price = hundredths(t["l_extendedprice"])
+        disc = pc.multiply(price, pc.subtract(pa.scalar(100, pa.int64()),
+                                              hundredths(t["l_discount"])))
+        t = pa.table({
+            "l_returnflag": t["l_returnflag"],
+            "l_linestatus": t["l_linestatus"],
+            "qty": hundredths(t["l_quantity"]), "price": price, "disc": disc})
         g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate([
-            ("l_quantity", "sum"), ("l_extendedprice", "sum"),
-            ("disc_price", "sum"), ("l_quantity", "count"),
+            ("qty", "sum"), ("price", "sum"), ("disc", "sum"), ("qty", "count"),
         ])
         return g.rename_columns(["l_returnflag", "l_linestatus", "sum_qty",
                                  "sum_base_price", "sum_disc_price", "n"])
@@ -82,11 +97,11 @@ def q_groupby_agg(sf_dir: str):
         sum_base_price=("sum_base_price", "sum"),
         sum_disc_price=("sum_disc_price", "sum"),
         n=("n", "sum"))
-    # data has 2-decimal prices and 4-decimal products: round to the data's
-    # own precision so the half-rounding mode can never be exercised
-    out["sum_qty"] = out["sum_qty"].round(2)
-    out["sum_base_price"] = out["sum_base_price"].round(2)
-    out["sum_disc_price"] = out["sum_disc_price"].round(4)
+    # one int64 → double conversion each: the nearest double to the exact
+    # decimal, the same value the DECIMAL oracle casts to DOUBLE
+    out["sum_qty"] = out["sum_qty"] / 100
+    out["sum_base_price"] = out["sum_base_price"] / 100
+    out["sum_disc_price"] = out["sum_disc_price"] / 10_000
     out["n"] = out["n"].astype("int64")
     return out
 
@@ -1992,9 +2007,13 @@ def oracle_sql() -> dict[str, str]:
     return {
         "groupby_agg": """
             select l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) as sum_qty,
-                   round(sum(l_extendedprice), 2) as sum_base_price,
-                   round(sum(l_extendedprice * (1 - l_discount)), 4) as sum_disc_price,
+                   cast(sum(cast(l_quantity as decimal(15, 2)))
+                        as double) as sum_qty,
+                   cast(sum(cast(l_extendedprice as decimal(15, 2)))
+                        as double) as sum_base_price,
+                   cast(sum(cast(l_extendedprice as decimal(15, 2))
+                            * (1 - cast(l_discount as decimal(15, 2))))
+                        as double) as sum_disc_price,
                    count(*) as n
             from lineitem group by l_returnflag, l_linestatus
         """,

@@ -101,10 +101,6 @@ def tokenize(text: str) -> Iterator[tuple[str, int]]:
             pos += len(t) + 1
 
 
-def tokenize_positionless(text: str) -> list[str]:
-    return [t for t, _ in tokenize(text)]
-
-
 def bigram_tokenize(
     tokens_iter: Iterable[tuple[str, int]]
 ) -> Iterator[tuple[str, int]]:

@@ -118,7 +118,3 @@ def read_table_arrow(path: str, columns: list[str] | None = None) -> pa.Table:
     )
     tabs = [pq.read_table(f, columns=columns) for f in files]
     return pa.concat_tables(tabs) if tabs else pa.table({})
-
-
-def write_table_arrow(table: pa.Table, path: str) -> None:
-    write_table(table, path)

@@ -415,9 +415,23 @@ class CrawlEngine:
             )
             for _ in range(n_host_shards)
         ]
+        self._await_actors()
         self._seed()
 
     # ------------------------------------------------------------------
+    def _await_actors(self) -> None:
+        """Block until every state actor answers one ping (all gathered in
+        one ``ray.get``), so actor start-up is paid here and timed as
+        ``timings["engine_init"]`` instead of landing, unattributed, in the
+        first round of ``run()``."""
+        import time as _time
+
+        t0 = _time.perf_counter()
+        ray.get([a.__ray_ready__.remote() for a in (
+            self.seen.shards + self.footprints.shards + self.frontier.shards
+            + self.host_shards)])
+        self._t("engine_init", t0)
+
     def _is_valid(self, u: str) -> bool:
         return urltools.is_valid(u, self._pattern)
 
@@ -1056,6 +1070,7 @@ class CrawlEngine:
             )
             for p in snap_paths
         ]
+        self._await_actors()
         return self
 
     # ------------------------------------------------------------------

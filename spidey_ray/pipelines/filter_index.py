@@ -2,21 +2,41 @@
 
 The reference runs two sequential full passes with an in-memory spill dict
 and a k-way file merge (backend/IndexerMain.py:38-47, Indexer.py:228-306);
-here the entire thing is three Ray Data stages and one groupby shuffle — the
-shuffle IS the k-way merge (SURVEY.md §2.1 S7/S8):
+here it is a chain of Ray Data exchanges — the postings shuffle IS the
+k-way merge (SURVEY.md §2.1 S7/S8):
 
 1. ``filter_prepare_batch``: compact per-doc features (40 bytes/doc — spans
    never enter the dedup shuffle),
-2. exact dedup by doc_id + bucketed simhash near-dup
-   (``groupby(len_bucket).map_groups``) with first-in-crawl-order-wins
+2. exact dedup by doc_id (``groupby(_db)``, first-in-crawl-order-wins) +
+   bucketed simhash near-dup (``groupby(len_bucket).map_groups``)
    (Filter.py:49-51, 94-110),
 3. doc-number assignment by crawl order (the reference's
-   enumeration-order doc ids, Indexer.py:96; SURVEY.md §2.9) — a rank over
-   crawl_seq; driver-side here, a prefix-sum over sorted block counts at
-   cluster scale,
-4. ``emit_postings_batch`` + ``groupby(stem, is_bigram).map_groups`` for
+   enumeration-order doc ids, Indexer.py:96; SURVEY.md §2.9): a stable
+   argsort of the survivors' crawl_seq on the driver, which collects them
+   anyway to broadcast the ordinal map; past ``broadcast_limit`` survivors,
+   a distributed ``sort(crawl_seq)`` rank plus a docs ⋈ doc-numbers hash
+   join instead,
+4. doc_meta, written key-sorted (``sort(doc_id)`` + ``repartition``),
+5. ``emit_postings_batch`` + ``groupby(bucket).map_groups`` for
    df/tf-idf/per-stem ordering — replacing offload files, k-way merge and
-   the post-index scoring rewrite (Indexer.py:142-173).
+   the post-index scoring rewrite (Indexer.py:142-173) — then a
+   ``repartition`` to compact the files.
+
+That is six exchanges on the broadcast path — four shuffles
+(``groupby(_db)``, ``groupby(len_bucket)``, ``sort(doc_id)``,
+``groupby(bucket)``) and two repartitions — and eight on the scale path,
+which adds ``sort(crawl_seq)`` and the join's shuffle.
+
+**Every exchange's input is materialized** (all of the above but the
+join's shuffle inside ``stages.joins.hash_join``, whose map side only tags
+columns).  Ray 2.49's streaming executor reserves at least one CPU for
+every operator of a plan, including those downstream of an exchange that
+cannot start until it finishes; with a map → exchange chain in one plan,
+the map side therefore runs about one task at a time.  An exchange buffers
+its whole input before shuffling anyway, so ending the plan there costs no
+memory and gives the map side the whole cluster (measured in a local
+4-CPU Ray session: a warm build of 1,739 documents went from about 20.5 s
+to 11.6 s).
 """
 
 from __future__ import annotations
@@ -59,37 +79,17 @@ class FilterIndexResult:
     num_documents: int
 
 
-def _doc_meta_batch(batch: pa.Table, doc_num: dict) -> pa.Table:
-    out = {n: [] for n in DOC_META_SCHEMA.names}
-    for url, title, spans in zip(
-        batch["doc_id"].to_pylist(), batch["title"].to_pylist(),
-        batch["spans"].to_pylist(),
-    ):
-        if url not in doc_num:
-            continue
-        stream = doc_token_stream(spans)
-        extents = doc_extents(spans)
-        out["doc_id"].append(doc_num[url])
-        out["title"].append(title)
-        out["url"].append(url)
-        out["n_tokens"].append(len(stream))
-        out["tag_extents"].append(
-            [{"tag": t, "start": e[0], "end": e[1]}
-             for t in extents for e in extents[t]]
-        )
-    return pa.Table.from_pydict(out, schema=DOC_META_SCHEMA)
-
-
-def _postings_input_batch(batch: pa.Table, doc_num: dict) -> pa.Table:
+def _attach_doc_num(batch: pa.Table, doc_num: dict) -> pa.Table:
+    """Survivor docs of ``batch`` with their ``doc_num`` column attached."""
     mask = pa.array([u in doc_num for u in batch["doc_id"].to_pylist()])
     t = batch.filter(mask)
     nums = pa.array([doc_num[u] for u in t["doc_id"].to_pylist()], type=pa.int64())
     return t.append_column("doc_num", nums)
 
 
-def _doc_meta_batch_joined(batch: pa.Table) -> pa.Table:
-    """doc_meta over the docs ⋈ doc-numbers join output (scale path: the
-    join already filtered non-survivors and attached ``doc_num``)."""
+def _doc_meta_batch(batch: pa.Table) -> pa.Table:
+    """doc_meta over survivor docs with ``doc_num`` attached (either path:
+    the broadcast filter or the docs ⋈ doc-numbers join)."""
     out = {n: [] for n in DOC_META_SCHEMA.names}
     for url, title, spans, num in zip(
         batch["doc_id"].to_pylist(), batch["title"].to_pylist(),
@@ -160,14 +160,13 @@ def run_filter_index(
     dup_threshold: float = 0.975,
     broadcast_limit: int = _DOCNUM_BROADCAST_LIMIT,
 ) -> FilterIndexResult:
-    """documents(doc_id, spans, title, crawl_seq) → doc_meta + postings."""
+    """documents(doc_id, spans, title, crawl_seq) → doc_meta + postings.
+
+    Every exchange's input is materialized first (see the module
+    docstring)."""
     docs = documents
 
     # 1-2. features + exact dedup (first crawl wins) + bucketed near-dup
-    feats = docs.map_batches(
-        filter_prepare_batch, fn_kwargs={"bucket_size": bucket_size},
-        batch_format="pyarrow",
-    )
     # exact dedup first-crawl-wins, fat-bucketed: grouping on the raw
     # doc_id URL would make one near-singleton group per document over the
     # whole corpus (the sort-shuffle slow path) — instead hash(doc_id)%256
@@ -185,63 +184,74 @@ def run_filter_index(
         keep = g.loc[g.groupby("doc_id")["crawl_seq"].idxmin()]
         return keep.drop(columns=["_db"])
 
-    survivors = (
-        feats
+    feats = (
+        docs
+        .map_batches(filter_prepare_batch,
+                     fn_kwargs={"bucket_size": bucket_size},
+                     batch_format="pyarrow")
         .map_batches(_docid_bucket, batch_format="pyarrow")
-        .groupby("_db")
+        .materialize()
+    )
+    firsts = (
+        feats.groupby("_db")
         .map_groups(_first_crawl_wins, batch_format="pandas")
-        .groupby("len_bucket")
+        .materialize()
+    )
+    survivors = (
+        firsts.groupby("len_bucket")
         .map_groups(
             lambda g: near_dup_group(g, dup_threshold), batch_format="pandas",
         )
         .select_columns(["doc_id", "crawl_seq"])
+        .materialize()
     )
+    n_docs = survivors.count()
 
-    # 3. doc-number assignment by crawl order (reference doc-id semantics):
-    # a distributed rank; stays a Dataset end-to-end
-    ranked = assign_doc_numbers(survivors).materialize()
-    n_docs = ranked.count()
-
+    # 3. doc-number assignment by crawl order (reference doc-id semantics)
     if n_docs <= broadcast_limit:
-        # fast path: the ordinal map fits comfortably in a broadcast
-        rdf = ranked.to_pandas()
-        doc_num = dict(zip(rdf["doc_id"], rdf["doc_num"]))
-        doc_meta = docs.map_batches(
-            _doc_meta_batch, fn_kwargs={"doc_num": doc_num},
-            batch_format="pyarrow")
+        # fast path: the survivors are collected anyway to broadcast the
+        # ordinal map, so rank them here — a stable argsort on crawl_seq,
+        # no distributed sort
+        sdf = (survivors.to_pandas() if n_docs
+               else pd.DataFrame({"doc_id": [], "crawl_seq": []}))
+        order = np.argsort(sdf["crawl_seq"].to_numpy(), kind="stable")
+        doc_num = dict(zip(sdf["doc_id"].to_numpy()[order], range(n_docs)))
         numbered = docs.map_batches(
-            _postings_input_batch, fn_kwargs={"doc_num": doc_num},
+            _attach_doc_num, fn_kwargs={"doc_num": doc_num},
             batch_format="pyarrow")
     else:
-        # scale path: survivors ⋈ docs by doc_id — both sides stream, the
-        # ordinal map never materializes anywhere (round-1 verdict: the
-        # closure-captured dict is corpus-sized at 100×)
+        # scale path: a distributed rank, then survivors ⋈ docs by doc_id —
+        # both sides stream, the ordinal map never materializes anywhere
+        # (round-1 verdict: the closure-captured dict is corpus-sized at 100×)
         from ..stages.joins import hash_join
 
+        ranked = assign_doc_numbers(survivors)
         numbered = hash_join(docs, ranked, on="doc_id",
                              num_buckets=256).materialize()
-        doc_meta = numbered.map_batches(
-            _doc_meta_batch_joined, batch_format="pyarrow")
 
     # serving layout: key-sorted + compacted (≈262k docs per file) so the
     # serving replica's footer index (_RowGroupIndex) prunes every lookup to
     # O(1) files with tight row-group statistics — dozens of writer-block-
     # sized fragments were the dominant cold-query cost
     meta_path = os.path.join(out_dir, "doc_meta")
+    doc_meta = numbered.map_batches(_doc_meta_batch, batch_format="pyarrow")
     sio.write_table(
-        doc_meta.sort("doc_id").repartition(max(1, n_docs // 262_144)),
+        doc_meta.materialize().sort("doc_id").materialize()
+        .repartition(max(1, n_docs // 262_144)),
         meta_path)
 
-    # 4b. postings: emit + df/tf-idf/per-stem order in ONE shuffle, keyed on
+    # 5. postings: emit + df/tf-idf/per-stem order in ONE shuffle, keyed on
     # the stable stem-hash bucket (512 fat groups — grouping on the raw stem
     # would make millions of one-row bigram groups, see emit_postings_batch)
     postings = (
         numbered
         .map_batches(emit_postings_batch, batch_format="pyarrow")
+        .materialize()
         .groupby("bucket")
         .map_groups(
             lambda g: score_stem_group(g, n_docs), batch_format="pyarrow",
         )
+        .materialize()
     )
     # compact the per-bucket map_groups blocks (order-preserving coalesce:
     # bucket runs stay contiguous, within-stem posting order survives);

@@ -1,98 +1,14 @@
-"""Explicit pyarrow schemas for every persistent table (SURVEY.md §1.5).
+"""Explicit pyarrow schemas of persisted crawl state (SURVEY.md §1.5).
 
-The reference keeps all of these shapes implicit (JSON field conventions,
-shelve tuples, positional arrays — e.g. ``backend/Filter.py:112`` read back
-positionally at ``backend/IndexerMain.py:21-24``); the rebuild declares them
-once here and validates at the table boundaries.
+The reference keeps these shapes implicit (JSON field conventions, shelve
+tuples, positional arrays).  ``HOSTS`` is the per-host state snapshot row;
+``LINEAGE`` is the per-round lineage row, not yet enforced on the
+``lineage.parquet`` the crawl checkpoint writes.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-
-# --- span struct: one visible text node / outlink / media link per element ---
-# Mirrors the interleaved parsed document of backend/HTMLParser.py:87-98
-# (text nodes with parent tag) + backend/crawler/scraper.py:490 (links).
-SPAN_STRUCT = pa.struct(
-    [
-        ("kind", pa.string()),       # parent tag ('p','h1',...), 'link', 'media', '' for non-HTML raw
-        ("text", pa.string()),       # stripped visible text / anchor text ('' for bare media)
-        ("media_ref", pa.string()),  # '' for text spans; absolutized+defragged URL for link/media
-        ("offset", pa.int32()),      # running tokenized char offset (Filter.py:83-88 accumulator)
-    ]
-)
-
-# input_hint table: interleaved text + media documents.
-DOCUMENTS = pa.schema(
-    [
-        ("doc_id", pa.string()),               # canonical URL
-        ("spans", pa.list_(SPAN_STRUCT)),
-    ]
-)
-
-# Frontier entry (reference: urlhash -> (url, completed), frontier.py:63-66).
-FRONTIER = pa.schema(
-    [
-        ("url", pa.string()),
-        ("url_hash", pa.binary(20)),  # SHA-1 of canonical form (north_rule; canonical
-                                      # string is the reference's netloc/path/params/query/fragment,
-                                      # utils/__init__.py:25-30)
-        ("host", pa.string()),
-        ("depth", pa.int32()),
-        ("priority", pa.float64()),
-        ("parent_url", pa.string()),
-        ("status", pa.string()),      # 'pending' | 'fetched' | 'cancelled'
-        ("round", pa.int32()),
-    ]
-)
-
-# Fetch response (reference Response, utils/response.py:3-14).
-FETCHES = pa.schema(
-    [
-        ("url", pa.string()),
-        ("final_url", pa.string()),
-        ("status", pa.int32()),
-        ("error", pa.string()),
-        ("content", pa.binary()),
-        ("encoding", pa.string()),
-        ("fetch_round", pa.int32()),
-    ]
-)
-
-# docInfo record (backend/Filter.py:112).
-DOC_META = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("title", pa.string()),
-        ("url", pa.string()),
-        ("n_tokens", pa.int64()),
-        ("tag_extents", pa.list_(pa.struct(
-            [("tag", pa.string()), ("start", pa.int32()), ("end", pa.int32())]
-        ))),
-    ]
-)
-
-# Posting row (backend/Indexer.py:240-246; negative position => title occurrence,
-# Indexer.py:79).
-POSTINGS = pa.schema(
-    [
-        ("stem", pa.string()),
-        ("doc_id", pa.int64()),
-        ("positions", pa.list_(pa.int32())),
-        ("tfidf", pa.float32()),
-        ("is_bigram", pa.bool_()),
-    ]
-)
-
-# Simhash footprint (backend/crawler/scraper.py:327-344 / Filter.py:24-40,
-# bit-string -> uint64 with a stable hash — SURVEY.md §7.5.1).
-FINGERPRINTS = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("simhash", pa.uint64()),
-        ("n_tokens", pa.int64()),
-    ]
-)
 
 # Per-host state snapshot (reference SubdomainEntry, scraper.py:52-56).
 HOSTS = pa.schema(
@@ -101,15 +17,6 @@ HOSTS = pa.schema(
         ("robots_txt", pa.string()),
         ("crawl_delay", pa.float64()),
         ("n_urls", pa.int64()),
-    ]
-)
-
-BLACKLIST = pa.schema(
-    [
-        ("pattern", pa.string()),
-        ("reason", pa.string()),
-        ("round_added", pa.int32()),
-        ("temporary", pa.bool_()),
     ]
 )
 

@@ -28,16 +28,6 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("kind", pa.string()),           # 'image' | 'audio' | 'video'
-        ("payload", pa.binary()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-    ]
-)
-
 _MAGIC = b"FAKEIMG1"
 
 

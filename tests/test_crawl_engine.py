@@ -193,6 +193,35 @@ class TestResume:
         assert resumed.token_counts == oracle.token_counts
         shutil.rmtree(ckpt, ignore_errors=True)
 
+    def test_resume_returns_with_actors_up(self, ray_session, small_web,
+                                           tmp_path):
+        """``resume`` (like ``__init__``) returns only once every seen,
+        footprint, frontier and host actor is up, and times that wait as
+        ``timings["engine_init"]`` — before, actor start-up landed untimed in
+        the first round of ``run()``."""
+        import ray
+        from ray._private import state
+
+        from spidey_ray.pipelines.crawl import CrawlEngine
+
+        ckpt = str(tmp_path / "ckup")
+        eng = CrawlEngine(small_web, ckpt_dir=ckpt)
+        assert eng.timings["engine_init"] > 0
+        eng.run(stop_after_round=1)
+        del eng
+        resumed = CrawlEngine.resume(ckpt, small_web)
+        assert resumed.timings["engine_init"] > 0
+        actors = (resumed.seen.shards + resumed.footprints.shards
+                  + resumed.frontier.shards + resumed.host_shards)
+        assert len(actors) == 12
+        states = [state.actors(actor_id=a._actor_id.hex())["State"]
+                  for a in actors]
+        assert states == ["ALIVE"] * len(actors)
+        ready, _ = ray.wait([a.__ray_ready__.remote() for a in actors],
+                            num_returns=len(actors), timeout=30)
+        assert len(ready) == len(actors)
+        shutil.rmtree(ckpt, ignore_errors=True)
+
     def test_resume_derives_shard_count_from_checkpoint(self, ray_session,
                                                         small_web, tmp_path):
         """A checkpoint written with a NON-default n_host_shards must resume

@@ -37,6 +37,26 @@ def ray_index(ray_session, doc_rows, tmp_path_factory):
     return res, sio.read_table_arrow(res.doc_meta_path), sio.read_table_arrow(res.postings_path)
 
 
+def _meta_rows(meta):
+    return sorted(
+        (dict(zip(meta.column_names, r))
+         for r in zip(*[meta[c].to_pylist() for c in meta.column_names])),
+        key=lambda r: r["doc_id"],
+    )
+
+
+def _posting_lists(pt):
+    """{is_bigram: {stem: [[doc_id, positions, tfidf], ...]}} in file order."""
+    got = {False: {}, True: {}}
+    for stem, d, pos, tf, bg in zip(
+        pt["stem"].to_pylist(), pt["doc_id"].to_pylist(),
+        pt["positions"].to_pylist(), pt["tfidf"].to_pylist(),
+        pt["is_bigram"].to_pylist(),
+    ):
+        got[bg].setdefault(stem, []).append([d, pos, tf])
+    return got
+
+
 class TestFilterIndexMatchesOracle:
     def test_survivor_count(self, ray_index, serial_index):
         res, _, _ = ray_index
@@ -44,24 +64,13 @@ class TestFilterIndexMatchesOracle:
 
     def test_doc_meta(self, ray_index, serial_index):
         _, meta, _ = ray_index
-        rows = sorted(
-            (dict(zip(meta.column_names, r))
-             for r in zip(*[meta[c].to_pylist() for c in meta.column_names])),
-            key=lambda r: r["doc_id"],
-        )
-        assert rows == serial_index.doc_meta
+        assert _meta_rows(meta) == serial_index.doc_meta
 
     def test_postings_exact(self, ray_index, serial_index):
         """Every posting list: same docs, same positions (title-negated),
         same 4-d.p. tf-idf, same within-stem order."""
         _, _, pt = ray_index
-        got = {False: {}, True: {}}
-        for stem, d, pos, tf, bg in zip(
-            pt["stem"].to_pylist(), pt["doc_id"].to_pylist(),
-            pt["positions"].to_pylist(), pt["tfidf"].to_pylist(),
-            pt["is_bigram"].to_pylist(),
-        ):
-            got[bg].setdefault(stem, []).append([d, pos, tf])
+        got = _posting_lists(pt)
         for bg in (False, True):
             assert got[bg].keys() == serial_index.postings[bg].keys()
             for stem, plist in serial_index.postings[bg].items():
@@ -206,3 +215,33 @@ class TestPartitionedServing:
                   "listing", "home"):
             assert qi.query(q)[0] == pqi.query(q)[0], q
             assert qi.results_with_info(q) == pqi.results_with_info(q), q
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("path", ["broadcast", "scale"])
+    @pytest.mark.parametrize("n_blocks", [1, 7, 64])
+    def test_layout_matches_serial(self, ray_session, doc_rows, serial_index,
+                                   tmp_path, n_blocks, path):
+        """The same documents as 1, 7 or 64 input blocks give the serial
+        oracle's doc_meta and posting lists, on the driver-numbered
+        broadcast path and on the distributed-rank join path
+        (``broadcast_limit=0``): doc numbers and per-stem order must not
+        depend on how the input — or any materialized exchange input — is
+        split into blocks."""
+        import ray.data
+
+        from spidey_ray import io as sio
+        from spidey_ray.pipelines.filter_index import (
+            _DOCNUM_BROADCAST_LIMIT,
+            run_filter_index,
+        )
+
+        limit = _DOCNUM_BROADCAST_LIMIT if path == "broadcast" else 0
+        ds = ray.data.from_items(doc_rows, override_num_blocks=n_blocks)
+        res = run_filter_index(ds, str(tmp_path / "fi"),
+                               broadcast_limit=limit)
+        assert res.num_documents == serial_index.num_documents
+        assert (_meta_rows(sio.read_table_arrow(res.doc_meta_path))
+                == serial_index.doc_meta)
+        assert (_posting_lists(sio.read_table_arrow(res.postings_path))
+                == serial_index.postings)

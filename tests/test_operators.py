@@ -2247,3 +2247,47 @@ class TestDeterministicSampling:
         for k, grp in full.groupby("k"):
             want = set(grp.sort_values(["r", "id"]).head(7)["id"])
             assert set(out[out["k"] == k]["id"]) == want
+
+
+class TestGroupbyAggExact:
+    def test_same_bits_on_1_7_64_blocks(self, ray_session):
+        """``groupby_agg`` sums in scaled int64, so the block layout cannot
+        move a bit: 1, 7 and 64 input blocks give identical frames, each
+        value the nearest double to the exact decimal sum."""
+        import ray.data
+
+        import __ray_entry__ as entry
+
+        rng = np.random.default_rng(7)
+        n = 300_000                     # two groups of ~5e9 sums, as at sf0.1
+        price_c = rng.integers(90_000, 10_500_000, n)      # cents
+        disc_c = rng.integers(0, 11, n)                     # hundredths
+        qty_c = rng.integers(1, 51, n) * 100
+        t = pa.table({
+            "l_returnflag": rng.choice(["A", "R"], n),
+            "l_linestatus": np.full(n, "F"),
+            "l_quantity": qty_c / 100, "l_extendedprice": price_c / 100,
+            "l_discount": disc_c / 100})
+
+        def run(n_blocks):
+            bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+            parts = [t.slice(a, b - a) for a, b in zip(bounds, bounds[1:])]
+            ds = ray.data.from_arrow(parts)
+            assert ds.num_blocks() == n_blocks
+            return (entry.groupby_agg(ds)
+                    .sort_values(["l_returnflag", "l_linestatus"])
+                    .reset_index(drop=True))
+
+        one = run(1)
+        for k in (7, 64):
+            pd.testing.assert_frame_equal(run(k), one, check_exact=True)
+
+        keys = pd.DataFrame({"f": t["l_returnflag"].to_numpy(zero_copy_only=False),
+                             "s": t["l_linestatus"].to_numpy(zero_copy_only=False),
+                             "q": qty_c, "p": price_c,
+                             "d": price_c * (100 - disc_c)})
+        exact = keys.groupby(["f", "s"]).sum().sort_index()
+        assert one["sum_qty"].tolist() == (exact["q"] / 100).tolist()
+        assert one["sum_base_price"].tolist() == (exact["p"] / 100).tolist()
+        assert one["sum_disc_price"].tolist() == (exact["d"] / 10_000).tolist()
+        assert one["n"].sum() == n
