@@ -60,6 +60,21 @@ def get_broadcast(ref):
     return _BROADCAST_CACHE["val"]
 
 
+def block_partials(ds: "ray.data.Dataset", fn):
+    """Run the Arrow UDF ``fn`` once over ``ds``; yield each non-empty
+    per-block partial on the driver as soon as its block exists — the one
+    loop behind every bounded-key driver merge.  Not
+    ``Dataset.to_arrow_refs``: in Ray 2.49 that runs the plan, then
+    ``self.schema(fetch_if_missing=True)`` (``ray/data/dataset.py:5840``)
+    runs it again as a ``limit(1)`` copy, cancelling what it does not need."""
+    mapped = ds.map_batches(fn, batch_format="pyarrow")
+    for bundle in mapped.iter_internal_ref_bundles():
+        for ref in bundle.block_refs:
+            part = ray.get(ref)
+            if len(part):
+                yield part
+
+
 def pd_to_arrow(df) -> "pa.Table":
     """pandas → Arrow with the pandas schema metadata stripped.
 

@@ -19,9 +19,9 @@ Scale shape, Ray-Data-first:
 
 - **train**: per-batch ``np.bincount`` partials per label (≤ 4096-long
   arrays, never per-gram rows) → compacted ≤ |classes|·4097-row block
-  partials merged on the driver (the repo's bounded-key-summary
-  convention — no all-to-all for a key space this small); the driver
-  holds one 4096-entry array per class plus a doc counter;
+  partials, each added into int64 arrays on the driver as it arrives
+  (``io.block_partials`` — no all-to-all for a key space this small);
+  the driver holds one 4096-entry array per class plus a doc counter;
 - **model**: per-(class, bucket) integer micro-log10 weights + integer
   micro-log10 class priors, broadcast ONCE via ``ray.put``;
 - **score**: a pure map — block-level: one flat gram-bucket stream per
@@ -47,84 +47,76 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
+from ..io import block_partials
 from .dsir import ALPHA, NUM_BUCKETS, _grams, gram_bucket_stream
 from .textstats import tokens_of
 
 
 def class_bucket_counts(ds: "ray.data.Dataset", text_col: str = "text",
-                        label_col: str = "label"
+                        label_col: str = "label", id_col: str = "doc_id"
                         ) -> tuple[dict[str, np.ndarray], dict[str, int]]:
     """Per-class hashed-gram bucket counts + per-class doc counts (docs
     with ≥ 1 token), via per-batch bincount partials (≤
     |classes|·(NUM_BUCKETS+1) compacted rows per block) merged on the
-    driver.  Returns ``({label: int64[NUM_BUCKETS]}, {label: n_docs})``."""
+    driver.  Returns ``({label: int64[NUM_BUCKETS]}, {label: n_docs})``.
+    A row with a null label raises ``ValueError`` naming its ``id_col``."""
 
     def emit(batch: pa.Table) -> pa.Table:
         import pandas as pd
 
+        if batch[label_col].null_count:
+            # hand the offending ids to the driver instead of counting:
+            # a null label would factorize to code -1 and break bincount
+            null = pc.is_null(batch[label_col])
+            ids = (batch[id_col].filter(null) if id_col in batch.column_names
+                   else pa.nulls(batch[label_col].null_count))
+            return pa.table({"null_label_id": ids})
         buckets_flat, lens = gram_bucket_stream(batch[text_col].to_pylist())
         kept = lens > 0
-        per: dict[str, np.ndarray] = {}
-        docs: dict[str, int] = {}
-        if buckets_flat.size:
-            doc_labs = np.asarray(batch[label_col].to_pylist(),
-                                  dtype=object)[kept]
-            codes, uniq = pd.factorize(doc_labs, sort=False)
-            # one fused bincount over (label_code, bucket) pairs
-            seg_codes = np.repeat(codes, lens[kept])
-            fused = np.bincount(seg_codes * NUM_BUCKETS + buckets_flat,
-                                minlength=len(uniq) * NUM_BUCKETS)
-            fused = fused.reshape(len(uniq), NUM_BUCKETS).astype(np.int64)
-            ndoc = np.bincount(codes, minlength=len(uniq))
-            for k, lab in enumerate(uniq):
-                per[lab] = fused[k]
-                docs[lab] = int(ndoc[k])
-        labs, buckets, ns = [], [], []
-        for lab, arr in per.items():
-            nz = np.flatnonzero(arr)
-            labs.extend([lab] * (len(nz) + 1))
-            buckets.extend(nz.tolist())
-            buckets.append(-1)                 # -1 row = doc counter
-            ns.extend(arr[nz].tolist())
-            ns.append(docs[lab])
+        doc_labs = np.asarray(batch[label_col].to_pylist(), dtype=object)[kept]
+        codes, uniq = pd.factorize(doc_labs, sort=False)
+        # one fused bincount over (label_code, bucket) pairs; column
+        # NUM_BUCKETS of a label's row is its doc counter
+        width = NUM_BUCKETS + 1
+        fused = np.bincount(np.repeat(codes, lens[kept]) * width + buckets_flat,
+                            minlength=len(uniq) * width).reshape(-1, width)
+        fused[:, NUM_BUCKETS] = np.bincount(codes, minlength=len(uniq))
+        k, b = np.nonzero(fused)
         return pa.table({
-            "label": pa.array(labs, type=pa.string()),
-            "bucket": pa.array(buckets, type=pa.int32()),
-            "n": pa.array(ns, type=pa.int64()),
+            "label": pa.array(uniq[k], type=pa.string()),
+            "bucket": pa.array(b, type=pa.int32()),
+            "n": pa.array(fused[k, b], type=pa.int64()),
         })
 
     # bounded key space (≤ |classes|·(NUM_BUCKETS+1) rows per block
-    # partial): merge on the driver like the repo's other bounded-key
-    # summaries (token top-k, outdegree vectors) — a sort-based groupby
-    # exchange costs more than the counting pass itself.  Driver memory
-    # is O(|classes|·NUM_BUCKETS); partials stream one block at a time.
-    import pandas as pd
-
-    counts: dict[str, np.ndarray] = {}
-    ndocs: dict[str, int] = {}
-    for ref in ds.map_batches(emit, batch_format="pyarrow").to_arrow_refs():
-        part = ray.get(ref)
-        if not len(part):
+    # partial): each partial is added into one int64 array per class on
+    # the driver as ``io.block_partials`` hands it over — no sort-based
+    # groupby exchange.  Driver memory is O(|classes|·NUM_BUCKETS).
+    totals: dict[str, np.ndarray] = {}
+    null_ids: list = []
+    for part in block_partials(ds, emit):
+        if "null_label_id" in part.column_names:
+            null_ids.extend(part["null_label_id"].to_pylist())
             continue
         labs = np.asarray(part["label"].to_pylist(), dtype=object)
         b = part["bucket"].to_numpy().astype(np.int64)
-        n = part["n"].to_numpy().astype(np.int64)
-        codes, uniq = pd.factorize(labs, sort=False)
-        for k, lab in enumerate(uniq):
-            arr = counts.get(lab)
-            if arr is None:
-                arr = counts[lab] = np.zeros(NUM_BUCKETS, dtype=np.int64)
-                ndocs[lab] = 0
-            m = codes == k
-            bk, nk = b[m], n[m]
-            doc_rows = bk == -1
-            ndocs[lab] += int(nk[doc_rows].sum())
-            np.add.at(arr, bk[~doc_rows], nk[~doc_rows])
-    return counts, ndocs
+        n = part["n"].to_numpy()
+        for lab in dict.fromkeys(labs):
+            m = labs == lab
+            np.add.at(totals.setdefault(lab, np.zeros(NUM_BUCKETS + 1,
+                                                      dtype=np.int64)),
+                      b[m], n[m])
+    if null_ids:
+        raise ValueError(
+            f"{len(null_ids)} training rows have a null {label_col!r}; "
+            f"their {id_col!r} values: {null_ids[:50]}")
+    return ({lab: a[:NUM_BUCKETS] for lab, a in totals.items()},
+            {lab: int(a[NUM_BUCKETS]) for lab, a in totals.items()})
 
 
 def nb_model_micro(counts: dict[str, np.ndarray],
@@ -193,7 +185,7 @@ def nb_train_classify(train_ds: "ray.data.Dataset",
     """Train on the labeled slice, classify the corpus — the quality/
     domain-filter composition (train once, pure-map the 100 TB side)."""
     counts, ndocs = class_bucket_counts(train_ds, text_col=text_col,
-                                        label_col=label_col)
+                                        label_col=label_col, id_col=id_col)
     if not counts:
         raise ValueError("training slice has no docs with tokens")
     labels, priors, weights = nb_model_micro(counts, ndocs)

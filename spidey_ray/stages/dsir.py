@@ -10,9 +10,10 @@ document by its log importance ratio under the two models.  Selection
 
 Scale shape, Ray-Data-first:
 
-- counts are per-batch ``np.bincount`` partials (4096-long arrays, not
-  per-gram rows) → a groupby over ≤ ``NUM_BUCKETS`` keys → the driver
-  holds exactly two 4096-entry arrays, never corpus-sized state;
+- counts are per-batch ``np.bincount`` partials (≤ ``NUM_BUCKETS``
+  nonzero rows, not per-gram rows), summed into an int64 array on the
+  driver as each block's partial arrives (``io.block_partials``) → the
+  driver holds exactly two 4096-entry arrays, never corpus-sized state;
 - the per-bucket log-ratio table is computed ONCE, broadcast via
   ``ray.put``, and scoring is a pure map over the corpus.
 
@@ -34,6 +35,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..io import block_partials
 from .textstats import tokens_of
 
 NUM_BUCKETS = 4096          # md5 first 3 hex chars
@@ -91,17 +93,13 @@ def hashed_ngram_bucket_counts(ds: "ray.data.Dataset",
             "n": pa.array(counts[nz]),
         })
 
-    # bounded key space (≤ NUM_BUCKETS rows per block partial): merge on
-    # the driver like the other ≤k-rows-per-block summaries (cf. token
-    # top-k / heavy hitters) instead of paying a sort-based all-to-all
-    # that costs more than the pass itself; driver memory stays
-    # O(NUM_BUCKETS), partials stream one block at a time
+    # bounded key space (≤ NUM_BUCKETS rows per block partial): summed on
+    # the driver as ``io.block_partials`` hands each one over — no
+    # sort-based all-to-all; driver memory stays O(NUM_BUCKETS)
     out = np.zeros(NUM_BUCKETS, dtype=np.int64)
-    for ref in ds.map_batches(emit, batch_format="pyarrow").to_arrow_refs():
-        part = ray.get(ref)
-        if len(part):
-            np.add.at(out, part["bucket"].to_numpy().astype(np.int64),
-                      part["n"].to_numpy())
+    for part in block_partials(ds, emit):
+        np.add.at(out, part["bucket"].to_numpy().astype(np.int64),
+                  part["n"].to_numpy())
     return out
 
 

@@ -38,7 +38,9 @@ broadcast↔join convention, cf. ``stages/dedup.py`` /
 - **broadcast** (``n_nodes ≤ broadcast_limit``): the rank vector is a
   single int64 numpy array ``ray.put`` once per iteration (zero-copy
   reads in workers); each edge block emits a *compacted* (dst, partial
-  sum) table and the driver merges with ``np.add.at``.  Driver memory is
+  sum) table that ``io.block_partials`` hands to the driver as its block
+  lands, where ``np.add.at`` adds it in (the outdegree vector, once, the
+  same way; ids outside ``[0, n_nodes)`` raise).  Driver memory is
   O(n_nodes) — the branch's stated assumption.  The edge Dataset is
   materialized once so ``iters`` passes don't re-execute its lineage.
 - **join** (beyond the limit): ranks are a Dataset co-partitioned with
@@ -47,7 +49,8 @@ broadcast↔join convention, cf. ``stages/dedup.py`` /
   fat-bucket groupby-sum on dst, one tiny dangling aggregate (the
   dangling flag is computed ONCE and carried on the rank rows — no
   per-iteration anti-join), and one left join back onto the node set —
-  the textbook Pregel/GraphX per-superstep cost.  Ranks materialize per
+  the textbook Pregel/GraphX per-superstep cost (the dangling sum: one
+  int64 per block via ``io.block_partials``).  Ranks materialize per
   iteration (O(nodes) rows, spillable) so lineage doesn't compound.
 
 Both plans produce byte-identical tables (tested).
@@ -62,33 +65,39 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..io import pd_to_arrow, strip_schema_metadata
+from ..io import block_partials, pd_to_arrow, strip_schema_metadata
 
 
-def _outdegree_array(edges: "ray.data.Dataset", n_nodes: int,
-                     src_col: str) -> np.ndarray:
-    """Driver-side int64 outdegree vector (broadcast branch only):
-    per-block compacted (src, cnt) partials, merged with np.add.at."""
-    od = np.zeros(n_nodes, dtype=np.int64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        src = t[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, cnt = np.unique(src, return_counts=True)
-        return pa.table({"src": u, "cnt": cnt.astype(np.int64)})
-
-    for tbl in edges.map_batches(
-            partial, batch_format="pyarrow").to_arrow_refs():
-        part = ray.get(tbl)
-        if len(part):
-            np.add.at(od, part["src"].to_numpy(), part["cnt"].to_numpy())
-    return od
+def _scatter_add(n_nodes: int, parts, id_col: str, val_col: str,
+                 what: str) -> np.ndarray:
+    """int64[n_nodes] sum of the (id, value) partials ``io.block_partials``
+    yields.  Ids outside ``[0, n_nodes)`` — negative ones would wrap
+    silently — raise a ``ValueError`` naming them, once all are in."""
+    out = np.zeros(n_nodes, dtype=np.int64)
+    bad: list[int] = []
+    for part in parts:
+        ids, vals = part[id_col].to_numpy(), part[val_col].to_numpy()
+        ok = (ids >= 0) & (ids < n_nodes)
+        bad.extend(ids[~ok].tolist())
+        np.add.at(out, ids[ok], vals[ok])
+    if bad:
+        raise ValueError(f"{what} ids outside [0, n_nodes={n_nodes}): "
+                         f"{sorted(set(bad))[:50]}")
+    return out
 
 
 def _pagerank_broadcast(edges: "ray.data.Dataset", n_nodes: int,
                         iters: int, damping_bp: int, scale: int,
                         src_col: str, dst_col: str) -> "ray.data.Dataset":
     edges = edges.materialize()          # iters passes over one pinned copy
-    od = _outdegree_array(edges, n_nodes, src_col)
+
+    def src_partial(t: pa.Table) -> pa.Table:
+        src = t[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        u, cnt = np.unique(src, return_counts=True)
+        return pa.table({"src": u, "cnt": cnt.astype(np.int64)})
+
+    od = _scatter_add(n_nodes, block_partials(edges, src_partial),
+                      "src", "cnt", src_col)
     dangling_mask = od == 0
     base = ((10000 - damping_bp) * scale) // (10000 * n_nodes)
     rank = np.full(n_nodes, scale // n_nodes, dtype=np.int64)
@@ -108,13 +117,8 @@ def _pagerank_broadcast(edges: "ray.data.Dataset", n_nodes: int,
             np.add.at(sums, inv, share)
             return pa.table({"dst": u, "contrib": sums})
 
-        contrib = np.zeros(n_nodes, dtype=np.int64)
-        for ref in edges.map_batches(
-                contrib_partial, batch_format="pyarrow").to_arrow_refs():
-            part = ray.get(ref)
-            if len(part):
-                np.add.at(contrib, part["dst"].to_numpy(),
-                          part["contrib"].to_numpy())
+        contrib = _scatter_add(n_nodes, block_partials(edges, contrib_partial),
+                               "dst", "contrib", dst_col)
         dangling = int(((rank[dangling_mask] * damping_bp) // 10000).sum())
         rank = base + contrib + dangling // n_nodes
 
@@ -181,13 +185,8 @@ def _pagerank_join(edges: "ray.data.Dataset", n_nodes: int,
             d = t["dangling"].to_numpy(zero_copy_only=False)
             s = int(((r[d] * damping_bp) // 10000).sum())
             return pa.table({"s": np.array([s], dtype=np.int64)})
-        total = 0
-        for ref in rds.map_batches(
-                part, batch_format="pyarrow").to_arrow_refs():
-            tbl = ray.get(ref)
-            if len(tbl):
-                total += int(tbl["s"].to_numpy().sum())
-        return total
+        return sum(int(p["s"].to_numpy().sum())
+                   for p in block_partials(rds, part))
 
     for _ in range(iters):
         dang_share = dangling_mass(ranks) // n_nodes

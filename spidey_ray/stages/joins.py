@@ -73,21 +73,6 @@ def hash_join(
         raise ValueError(f"unsupported how={how!r}")
     on = [on] if isinstance(on, str) else list(on)
 
-    # degenerate empties: a dataset whose lineage yields zero typed blocks
-    # has schema() None — its columns are unknowable, so short-circuit
-    if left.schema() is None:
-        return left                     # no left rows → no output rows
-    if right.schema() is None:
-        if how in ("inner", "semi"):
-            return left.limit(0)
-        return left                     # anti/left: every left row survives
-
-    left_cols = list(left.schema().names)
-    right_names = list(right.schema().names)
-    rename = {c: (c + suffix if c in left_cols else c)
-              for c in right_names if c not in on}
-    out_right_cols = [rename[c] for c in right_names if c not in on]
-
     def tag_left(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
         return t.append_column("_side", pa.array(np.zeros(len(t), dtype=np.int8))) \
@@ -95,22 +80,36 @@ def hash_join(
 
     def tag_right(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
-        t = t.rename_columns([rename.get(c, c) for c in t.column_names])
+        t = t.rename_columns([c + suffix if c in left_cols and c not in on
+                              else c for c in t.column_names])
         return t.append_column("_side", pa.array(np.ones(len(t), dtype=np.int8))) \
                 .append_column("_bucket", _bucket_of(t, on, num_buckets))
 
+    # ONE schema probe per side, on the tagged sides materialized first: a
+    # lazy plan's probe is a limit(1) run that cancels the tasks it does
+    # not need, and Ray 2.49 has aborted the driver in that cancel
+    # (task_manager.cc:930).  schema() None = no typed block: short-circuit.
+    # The probes type every column, so BOTH sides get padded to one schema
+    # before the union: Ray's shuffle concat mishandles blocks with
+    # differing column sets when any column is an extension type, and
+    # identical schemas also skip unify entirely.
+    l_tag = left.map_batches(tag_left, batch_format="pyarrow").materialize()
+    l_schema = l_tag.schema()
+    if l_schema is None:
+        return left                     # no left rows → no output rows
+    left_cols = l_schema.names[:-2]     # tag_left appends _side, _bucket
+    r_tag = right.map_batches(tag_right, batch_format="pyarrow").materialize()
+    r_schema = r_tag.schema()
+    if r_schema is None:
+        if how in ("inner", "semi"):
+            return left.limit(0)
+        return left                     # anti/left: every left row survives
+
+    out_right_cols = [c for c in r_schema.names[:-2] if c not in on]
     out_cols = (left_cols if how in ("semi", "anti")
                 else left_cols + out_right_cols)
-
-    l_tag = left.map_batches(tag_left, batch_format="pyarrow")
-    r_tag = right.map_batches(tag_right, batch_format="pyarrow")
-
-    # concrete Arrow types for every column (one-block schema probe), then
-    # pad BOTH sides to one common schema before the union: Ray's shuffle
-    # concat mishandles blocks with differing column sets when any column is
-    # an extension type, and identical schemas also skip unify entirely
     field_types: dict[str, pa.DataType] = {}
-    for f in list(l_tag.schema().base_schema) + list(r_tag.schema().base_schema):
+    for f in list(l_schema.base_schema) + list(r_schema.base_schema):
         field_types.setdefault(f.name, f.type)
     out_schema = pa.schema([(c, field_types[c]) for c in out_cols])
     all_cols = list(field_types)
@@ -195,10 +194,6 @@ def join(
     rdf = right.to_pandas()
     rename = {c: (c + suffix if c in left_cols else c)
               for c in right.schema().names if c not in on_l}
-    # Ray's to_pandas drops columns on empty frames; n_right>0 here, but
-    # restore names defensively from the schema
-    if not len(rdf.columns):
-        rdf = pd.DataFrame(columns=list(right.schema().names))
     rdf = rdf.rename(columns=rename)
     r_ref = ray.put(rdf)
 
@@ -216,8 +211,6 @@ def join(
                          indicator=True)
             return m.loc[m["_merge"] == "left_only", list(df.columns)]
         return df.merge(r, on=on_l, how=how)
-
-    import ray as _ray  # noqa: F401  (ray.get in workers)
 
     # Same guard as hash_join: one zero-row TYPED block is always present so
     # an all-empty broadcast result keeps its columns through to_pandas —

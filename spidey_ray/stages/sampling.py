@@ -26,6 +26,8 @@ import pyarrow as pa
 
 import ray.data
 
+from ..io import block_partials
+
 
 def _md5_rank8(vals) -> list[str]:
     return [hashlib.md5(str(v).encode("utf-8")).hexdigest()[:8]
@@ -77,13 +79,13 @@ def mix_to_proportions(ds: "ray.data.Dataset", key_col: str, id_col: str,
     style "x% of tokens from source A" rebalancing), without upsampling:
     the largest achievable output is picked by the binding group.
 
-    Two passes, both cheap: (1) per-key counts via per-batch partials and
-    a groupby over at most ``len(shares)`` keys (driver state is one
-    counter per *named* group, never per domain — rows whose key is not
-    in ``shares`` are dropped, so the count exchange is bounded by the
-    recipe size); (2) a content-deterministic :func:`hash_sample` with
-    per-key fractions.  Derivation, mirrored literally by the SQL oracle
-    (same op order, so the IEEE doubles — and hence the md5-rank
+    Two passes, both cheap: (1) per-key counts via per-batch partials of
+    at most ``len(shares)`` rows (rows whose key is not in ``shares`` are
+    dropped), summed into one counter per *named* group on the driver as
+    ``io.block_partials`` hands them over — no exchange, and never a
+    counter per domain; (2) a content-deterministic :func:`hash_sample`
+    with per-key fractions.  Derivation, mirrored literally by the SQL
+    oracle (same op order, so the IEEE doubles — and hence the md5-rank
     thresholds — agree bit-for-bit):
 
     - ``n_out = min over groups(count_g / share_g)`` (groups present);
@@ -99,10 +101,10 @@ def mix_to_proportions(ds: "ray.data.Dataset", key_col: str, id_col: str,
             "n": pa.array(vc.values, type=pa.int64()),
         })
 
-    cnt = (ds.select_columns([key_col])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("key").sum("n").to_pandas())
-    counts = dict(zip(cnt["key"], cnt["sum(n)"]))
+    counts: dict[str, int] = {}
+    for part in block_partials(ds.select_columns([key_col]), partial):
+        for k, n in zip(part["key"].to_pylist(), part["n"].to_pylist()):
+            counts[k] = counts.get(k, 0) + n
     present = [k for k in keys if counts.get(k) and shares[k] > 0]
     if not present:
         return hash_sample(ds, id_col, key_col=key_col,

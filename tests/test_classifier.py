@@ -98,3 +98,19 @@ class TestNbClassifier:
             "text": pa.array([], type=pa.string())}))
         with pytest.raises(ValueError):
             nb_train_classify(empty, _corpus_ds(), label_col="label")
+
+    def test_null_labels_rejected_with_their_ids(self, ray_session):
+        import ray.data
+
+        t = pa.table({
+            "doc_id": pa.array(list(range(len(TRAIN))) + [9001, 9002],
+                               type=pa.int64()),
+            "label": [l for l, _ in TRAIN] + [None, None],
+            "text": [x for _, x in TRAIN] + ["apple soup", ""],
+        })
+        train = ray.data.from_arrow(t).repartition(3)
+        with pytest.raises(ValueError) as err:
+            nb_train_classify(train, _corpus_ds(), label_col="label")
+        msg = str(err.value)
+        assert "null 'label'" in msg
+        assert "9001" in msg and "9002" in msg

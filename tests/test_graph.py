@@ -95,3 +95,11 @@ class TestPagerank:
             pagerank(_edges_ds(*_random_graph(4, 4)), 0)
         with pytest.raises(ValueError):
             pagerank(_edges_ds(*_random_graph(4, 4)), 4, damping_bp=10000)
+        # ids outside [0, n_nodes): a negative one would wrap to the last
+        # node; the error names the bad ids
+        src = np.array([0, 1, 2, -1], dtype=np.int64)
+        dst = np.array([1, 2, 0, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"src ids outside .*\[-1\]"):
+            pagerank(_edges_ds(src, dst, blocks=2), 3)
+        with pytest.raises(ValueError, match=r"dst ids outside .*\[-1, 3\]"):
+            pagerank(_edges_ds(dst[:3], np.array([1, -1, 3])), 3)

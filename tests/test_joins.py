@@ -94,6 +94,28 @@ class TestHashJoin:
         assert out["rv"].dtype == np.int64
 
 
+    def test_side_without_typed_blocks(self, ray_session):
+        """A side whose plan yields no typed block (every row filtered
+        out) or only zero-row blocks: no left rows → no output; no right
+        rows → inner/semi empty, left/anti keep every left row."""
+        import ray
+        import ray.data
+        from spidey_ray.stages.joins import hash_join
+
+        l_df, r_df, l_ds, r_ds = _mk(ray)
+        none = lambda ds: ds.filter(lambda r: False)  # noqa: E731
+        zero_rows = lambda df: ray.data.from_pandas(df.iloc[:0])  # noqa: E731
+        for how in ("inner", "left", "semi", "anti"):
+            for empty_l in (none(l_ds), zero_rows(l_df)):
+                assert hash_join(empty_l, r_ds, on="k", how=how).count() == 0
+            for empty_r in (none(r_ds), zero_rows(r_df)):
+                out = hash_join(l_ds, empty_r, on="k", how=how).to_pandas()
+                keep = how in ("left", "anti")
+                assert len(out) == (len(l_df) if keep else 0), how
+                if keep:
+                    assert sorted(out["name"]) == sorted(l_df["name"])
+
+
 class TestJoinFrontDoor:
     def test_broadcast_and_shuffle_strategies_agree(self, ray_session):
         import ray

@@ -290,3 +290,97 @@ class TestHashSampleProperties:
             return {i for i in ids
                     if hashlib.md5(str(i).encode()).hexdigest()[:8] < thr}
         assert picked(lo) <= picked(hi)
+
+
+_block = st.one_of(
+    st.just([]),                                            # empty block
+    st.lists(st.just((None, None)), min_size=1, max_size=5),  # all-null
+    st.tuples(st.integers(0, 3), st.integers(200_000, 1_500_000)).map(
+        lambda kn: [(kn[0], "x" * kn[1])]),                 # one huge row
+    st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 6)),
+                       st.one_of(st.none(), st.text(max_size=8))),
+             min_size=1, max_size=20),
+)
+
+
+class TestBlockPartialsProperties:
+    """``io.block_partials`` + a driver merge == a serial fold over the
+    rows, on block layouts with empty, all-null and one-huge-row blocks."""
+
+    @given(blocks=st.lists(_block, min_size=1, max_size=6))
+    @settings(max_examples=10, deadline=None)
+    def test_merge_matches_serial_fold(self, ray_session, blocks):
+        import pyarrow as pa
+        import ray.data
+
+        from spidey_ray.io import block_partials
+
+        def kv_partial(t):
+            # (k, rows, chars) for every non-null k of the block; defined
+            # here so workers get it by value, not by test-module import
+            df = t.to_pandas().dropna(subset=["k"])
+            df["chars"] = df["text"].fillna("").str.len()
+            g = df.groupby("k").agg(rows=("k", "size"), chars=("chars", "sum"))
+            return pa.table({
+                "k": pa.array(g.index.to_numpy().astype("int64")),
+                "rows": pa.array(g["rows"].to_numpy(), type=pa.int64()),
+                "chars": pa.array(g["chars"].to_numpy(), type=pa.int64())})
+
+        tables = [pa.table({"k": pa.array([k for k, _ in b], type=pa.int64()),
+                            "text": pa.array([s for _, s in b],
+                                             type=pa.string())})
+                  for b in blocks]
+        got: dict[int, list[int]] = {}
+        for part in block_partials(ray.data.from_arrow(tables), kv_partial):
+            for k, n, c in zip(*(part[x].to_pylist()
+                                 for x in ("k", "rows", "chars"))):
+                acc = got.setdefault(k, [0, 0])
+                acc[0] += n
+                acc[1] += c
+        want: dict[int, list[int]] = {}
+        for b in blocks:
+            for k, s in b:
+                if k is not None:
+                    acc = want.setdefault(k, [0, 0])
+                    acc[0] += 1
+                    acc[1] += len(s or "")
+        assert got == want
+
+
+class TestBlockPartials:
+    def test_fn_runs_once_per_block(self, ray_session, tmp_path):
+        """One UDF call per input block: no second (schema-probe) run of
+        the plan, which ``Dataset.to_arrow_refs`` makes in Ray 2.49."""
+        import os
+        import uuid
+
+        import pyarrow as pa
+        import ray.data
+
+        from spidey_ray.io import block_partials
+
+        calls = str(tmp_path)
+
+        def fn(t):
+            open(os.path.join(calls, uuid.uuid4().hex), "w").close()
+            return pa.table({"n": [len(t)]})
+
+        tables = [pa.table({"v": list(range(i, i + 10))}) for i in range(16)]
+        total = sum(p["n"].to_numpy().sum()
+                    for p in block_partials(ray.data.from_arrow(tables), fn))
+        assert total == 160
+        assert len(os.listdir(calls)) == 16
+
+    def test_no_to_arrow_refs_calls(self):
+        """Bounded-key merges go through ``io.block_partials``; a call of
+        ``to_arrow_refs`` would run its plan twice."""
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        files = [*root.joinpath("spidey_ray").rglob("*.py"),
+                 root / "__ray_entry__.py"]
+        hits = [f"{f.relative_to(root)}:{i}"
+                for f in files
+                for i, line in enumerate(f.read_text().splitlines(), 1)
+                if "to_arrow_refs(" in line]
+        assert not hits, hits
