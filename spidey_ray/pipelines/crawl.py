@@ -3,9 +3,9 @@
 Each round (SURVEY.md §7.2.7, north_rule):
 
 1. ADMIT   — pending frontier rows in canonical (depth, url) order through
-             the per-host politeness clocks (HostShard actor pool; all of a
-             host's traffic goes through its one shard — SURVEY.md §4).
-             Only per-host candidate counts cross the wire.
+             the per-host politeness clocks, inside each host-partition
+             actor (all of a host's traffic goes through its one partition
+             — SURVEY.md §4).  Only the admitted rows reach the driver.
 2. FUSED ROUND STAGE — ONE streaming ``map_batches`` execution
              (stages/round_stage.py): fetch + span parse + tokenize +
              stable simhash + token-count partials + document side-writes +
@@ -18,11 +18,11 @@ Each round (SURVEY.md §7.2.7, north_rule):
              emissions.  O(round) work over ~100-byte records; the small
              gate-suppressed set prunes candidate links and is recorded as
              the documents-table exclusion list.
-4. ROBOTS  — one batched ``filter_links`` call per HostShard: robots
+4. ROBOTS  — one batched ``filter_links`` call per host partition: robots
              fetch-on-first-sighting (charging the politeness clock,
              scraper.py:68), sitemap ingestion, can_fetch gate.  Hosts
              known to be rule-free are bypassed on the driver.
-5. SEEN    — batched ``seen_or_add`` on the cuckoo-filter shard pool in
+5. SEEN    — batched ``seen_or_add`` on the URL-shard pool in
              canonical (url, parent) order; first-seen-wins
              (frontier.py:60-66).
 6. CHECKPOINT — pending frontier, per-round fetched delta, gate state,
@@ -32,18 +32,22 @@ Each round (SURVEY.md §7.2.7, north_rule):
              ``CrawlEngine.resume`` restarts from the last complete round
              (north_rule resumability).
 
-Scale posture (10^10-frontier): driver memory is O(round).  The pending
-frontier is a host-partitioned actor pool (state/frontier.ShardedFrontier)
-aligned shard-for-shard with the politeness pool — only per-host counts and
-the round's admitted window cross the driver; the crawled history lives
-only in the per-round fetched/documents logs on disk (retained in driver
-memory solely for checkpoint-less test runs); the seen set is the sharded
-cuckoo pool; the gate footprints live in a sharded KV pool
-(state/frontier.ShardedFootprints) with a batched per-round prefetch of
-exactly the parent + previous-page keys (parents are always fetched in
-earlier rounds, so the needed keys are known before the gate loop).  Every
-sharded pool checkpoints its own blobs — nothing corpus-sized round-trips
-through the driver.  Blacklist growth is round-synchronized
+Scale posture (10^10-frontier): driver memory is O(round).  The crawl
+state lives in two actor pools, ``n_seen_shards + n_host_shards`` actors in
+all.  Host-partition actors (state/frontier.HostPartition, hash-partitioned
+by host) each hold one shard of the pending frontier and the politeness
+state of the same hosts, so admission runs inside one actor and only the
+round's admitted window crosses the driver.  URL-shard actors
+(state/cuckoo.UrlShard, partitioned by the seen key) each hold one cuckoo
+seen shard and the gate footprints of the same URLs; the driver
+batch-prefetches exactly the round's parent + previous-page footprints
+(parents are always fetched in earlier rounds, so the needed keys are known
+before the gate loop).  The crawled history lives only in the per-round
+fetched/documents logs on disk (retained in driver memory solely for
+checkpoint-less test runs).  Every actor checkpoints its own blobs —
+nothing corpus-sized round-trips through the driver — and each round
+records the checkpoint layout version and the engine's options, which
+``resume`` checks and reuses.  Blacklist growth is round-synchronized
 (SURVEY.md §7.5.3).  Tiny rounds run the same stage function inline on the
 driver — no per-execution overhead, identical semantics.
 """
@@ -53,6 +57,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pandas as pd
@@ -64,9 +69,10 @@ import ray.data
 
 from ..functions import urltools
 from ..sources import synthetic_web as sw
-from ..state.cuckoo import ShardedSeen, key64
-from ..state.frontier import ShardedFootprints, ShardedFrontier
-from ..state.politeness import CrawlSettings, HostShard, host_shard_of
+from ..state.cuckoo import (ShardedFootprints, ShardedSeen, key64,
+                            start_url_shards)
+from ..state.frontier import ShardedFrontier, start_host_partitions
+from ..state.politeness import CrawlSettings, host_shard_of
 from ..stages.round_stage import round_process_batch
 from . import crawl_logic
 from .crawl_logic import BlacklistState, GateState, NewPattern
@@ -80,6 +86,28 @@ def _round_stage_task(tbl: pa.Table, kwargs: dict) -> pa.Table:
     return round_process_batch(tbl, **kwargs)
 
 PENDING_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
+
+# Version of the checkpoint's file layout, written to every round's
+# engine.json.  Version 2 routes footprints by the seen key; resume refuses
+# any other version, whose state would restore into the wrong shards.
+CHECKPOINT_LAYOUT = 2
+
+# CrawlEngine's options and their defaults.  Every round's engine.json
+# records the values the engine ran with, and ``resume`` starts from them.
+# ``fetch_kwargs=None`` means the web config's own fields.
+OPTIONS = dict(
+    n_seen_shards=4,
+    n_host_shards=2,
+    fetch_concurrency=2,
+    fetch_batch_size=16,
+    seen_buckets=1 << 14,
+    inline_threshold=128,
+    fetch_module="spidey_ray.sources.synthetic_web",
+    fetch_name="make_fetch_fn",
+    fetch_kwargs=None,
+    frontier_mem_rows_per_host=200_000,
+    ckpt_compact_every=16,
+)
 
 
 def _empty_pending() -> pd.DataFrame:
@@ -331,46 +359,45 @@ class EngineResult:
 
 
 class CrawlEngine:
-    def __init__(
-        self,
-        web_cfg: sw.WebConfig,
-        settings: CrawlSettings | None = None,
-        ckpt_dir: str | None = None,
-        n_seen_shards: int = 4,
-        n_host_shards: int = 2,
-        fetch_concurrency: int = 2,
-        fetch_batch_size: int = 16,
-        seen_buckets: int = 1 << 14,
-        inline_threshold: int = 128,
-        fetch_module: str = "spidey_ray.sources.synthetic_web",
-        fetch_name: str = "make_fetch_fn",
-        fetch_kwargs: dict | None = None,
-        frontier_mem_rows_per_host: int = 200_000,
-        ckpt_compact_every: int = 16,
-    ):
-        self.ckpt_compact_every = max(1, ckpt_compact_every)
+    def __init__(self, web_cfg: sw.WebConfig,
+                 settings: CrawlSettings | None = None,
+                 ckpt_dir: str | None = None, **options):
+        """A fresh crawl from the web config's seeds; ``options`` are the
+        names of :data:`OPTIONS`."""
+        self._build(web_cfg, settings, ckpt_dir, options, round_dirs=[])
+        self._seed()
+
+    def _build(self, web_cfg: sw.WebConfig, settings: CrawlSettings | None,
+               ckpt_dir: str | None, options: dict,
+               round_dirs: list[str]) -> None:
+        """The one constructor path of ``__init__`` and ``resume``: set the
+        options, restore the driver state from the last of ``round_dirs``
+        (the complete rounds of ``ckpt_dir``, oldest first; none for a
+        fresh crawl) and start both state pools from them."""
+        unknown = sorted(set(options) - set(OPTIONS))
+        if unknown:
+            raise TypeError(f"unknown CrawlEngine options: {unknown}")
+        o = self.options = {**OPTIONS, **options}
         self.web_cfg = web_cfg
         self.settings = settings or CrawlSettings()
         self.ckpt_dir = ckpt_dir
-        self.n_seen_shards = n_seen_shards
-        self.n_host_shards = n_host_shards
-        self.fetch_concurrency = fetch_concurrency
-        self.fetch_batch_size = fetch_batch_size
-        self.seen_buckets = seen_buckets
-        self.inline_threshold = inline_threshold
+        self.n_seen_shards = o["n_seen_shards"]
+        self.n_host_shards = o["n_host_shards"]
+        self.fetch_concurrency = o["fetch_concurrency"]
+        self.fetch_batch_size = o["fetch_batch_size"]
+        self.inline_threshold = o["inline_threshold"]
+        self.ckpt_compact_every = max(1, o["ckpt_compact_every"])
         # pluggable fetcher (module, factory, kwargs): synthetic by default;
         # a REAL fetcher (sources/http_fetch.py) is non-idempotent, so the
         # fused stage runs with max_retries=0 when one is configured
-        self.fetch_module = fetch_module
-        self.fetch_name = fetch_name
-        self.fetch_kwargs = (fetch_kwargs if fetch_kwargs is not None
+        self.fetch_module = o["fetch_module"]
+        self.fetch_name = o["fetch_name"]
+        self.fetch_kwargs = (o["fetch_kwargs"] if o["fetch_kwargs"] is not None
                              else _cfg_dict(web_cfg))
         self._synthetic_fetch = (
-            fetch_module == "spidey_ray.sources.synthetic_web")
+            self.fetch_module == "spidey_ray.sources.synthetic_web")
 
         self._pattern = self.settings.netloc_pattern()
-        self.gate = GateState()
-        self.blacklist = BlacklistState()
         import uuid as _uuid
 
         # (nonce, version) keys the workers' compiled-blacklist cache: the
@@ -378,45 +405,60 @@ class CrawlEngine:
         self._blacklist_version = (_uuid.uuid4().hex[:12], 0)
         # token partials: NEVER a driver-side vocabulary dict.  With a
         # ckpt_dir the per-round token_partials.parquet logs are
-        # authoritative; checkpoint-less runs keep one object-store ref
+        # authoritative (EngineResult aggregates them at result time, also
+        # after a resume); checkpoint-less runs keep one object-store ref
         # per round instead (driver holds refs, not tokens) — either way
         # top-50 / token_counts are distributed aggregations at result
         # time over the same partial rows.
         self._token_part_refs: list | None = ([] if ckpt_dir is None
                                               else None)
+        # robots bypass caches: rebuilt lazily after a resume
         self._host_allow_all: set[str] = set()
         self._host_rules: dict[str, str] = {}   # processed rule-bearing hosts
-        self.longest: list[tuple[int, str]] = []
-        self.fetch_seq = 0
-        self.start_round = 0
         self.timings: dict[str, float] = {}
-
-        # pending frontier + footprint KV are sharded actor pools: the driver
-        # holds O(round) rows, never the frontier or the crawled history.
-        # Frontier shard count == host shard count so shard i's candidate
-        # counts feed politeness shard i directly (same host_shard_of route).
-        spill_dir = (os.path.join(ckpt_dir, ".frontier_spill")
-                     if ckpt_dir else None)
-        self.frontier = ShardedFrontier(
-            n_host_shards, spill_dir=spill_dir,
-            mem_rows_per_host=frontier_mem_rows_per_host)
-        self.footprints = ShardedFootprints(n_seen_shards)
         self._fp_put_refs: list = []
         # full fetch history is retained in driver memory ONLY for
         # checkpoint-less (test-scale) runs; with a ckpt_dir the per-round
         # fetched_delta parquet on disk IS the log (read back at result time)
         self._fetched_frames: list[pd.DataFrame] = []
 
-        self.seen = ShardedSeen(n_shards=n_seen_shards, n_buckets=seen_buckets)
-        self.host_shards = [
-            HostShard.remote(
-                self.settings, self.fetch_module, self.fetch_name,
-                self.fetch_kwargs,
+        rd = round_dirs[-1] if round_dirs else None
+        self.gate, self.blacklist = GateState(), BlacklistState()
+        self.longest: list[tuple[int, str]] = []
+        self.fetch_seq = self.start_round = 0
+        if rd:
+            self.start_round = int(os.path.basename(rd).split("=")[1]) + 1
+            with open(os.path.join(rd, "gate.json")) as f:
+                g = json.load(f)
+            self.gate = GateState(
+                previouspage=g["previouspage"],
+                unique_url_count=g["unique_url_count"],
+                query_dict={k: [(int(v[0][0]), int(v[0][1])), int(v[1])]
+                            for k, v in g["query_dict"].items()},
             )
-            for _ in range(n_host_shards)
-        ]
+            self.fetch_seq = g["fetch_seq"]
+            self.longest = [tuple(x) for x in g["longest"]]
+            with open(os.path.join(rd, "blacklist.json")) as f:
+                b = json.load(f)
+            self.blacklist = BlacklistState(
+                permanent=dict(b["permanent"]), temp=set(b["temp"]))
+
+        # the crawl state is two actor pools; the driver holds O(round)
+        # rows, never the frontier or the crawled history.  URL shard i
+        # holds seen shard i and footprint shard i; host partition i holds
+        # frontier shard i and politeness shard i (same host_shard_of
+        # route), so admission never leaves the partition.
+        url_shards = start_url_shards(self.n_seen_shards, o["seen_buckets"],
+                                      round_dirs)
+        self.seen = ShardedSeen(url_shards)
+        self.footprints = ShardedFootprints(url_shards)
+        self.host_shards = start_host_partitions(
+            self.n_host_shards, self.settings,
+            (self.fetch_module, self.fetch_name, self.fetch_kwargs),
+            os.path.join(ckpt_dir, ".frontier_spill") if ckpt_dir else None,
+            o["frontier_mem_rows_per_host"], rd)
+        self.frontier = ShardedFrontier(self.host_shards)
         self._await_actors()
-        self._seed()
 
     # ------------------------------------------------------------------
     def _await_actors(self) -> None:
@@ -427,9 +469,8 @@ class CrawlEngine:
         import time as _time
 
         t0 = _time.perf_counter()
-        ray.get([a.__ray_ready__.remote() for a in (
-            self.seen.shards + self.footprints.shards + self.frontier.shards
-            + self.host_shards)])
+        ray.get([a.__ray_ready__.remote()
+                 for a in self.seen.shards + self.frontier.shards])
         self._t("engine_init", t0)
 
     def _is_valid(self, u: str) -> bool:
@@ -490,23 +531,35 @@ class CrawlEngine:
     # ------------------------------------------------------------------
     def run(self, max_rounds: int | None = None,
             stop_after_round: int | None = None) -> EngineResult:
+        """Run rounds from ``start_round`` until the frontier is empty,
+        ``max_rounds`` is reached or ``stop_after_round`` is done; a later
+        call goes on from the next round.  A lost state actor ends the run
+        with a ``RuntimeError`` that names the checkpoint to resume from."""
+        import time as _time
+
         _quiet_data_context()
         limit = max_rounds if max_rounds is not None else self.settings.max_rounds
-        rounds_done = self.start_round
-        for round_k in range(self.start_round, limit):
-            if self.frontier.total() == 0:
-                break
-            rounds_done = round_k + 1
-            self._run_round(round_k)
-            if self.ckpt_dir:
-                import time as _time
-
-                t0 = _time.perf_counter()
-                self._checkpoint(round_k)
-                self._t("checkpoint", t0)
-            if stop_after_round is not None and round_k >= stop_after_round:
-                break
-        return self._result(rounds_done)
+        round_k = self.start_round
+        try:
+            while round_k < limit and self.frontier.total():
+                self._run_round(round_k)
+                if self.ckpt_dir:
+                    t0 = _time.perf_counter()
+                    self._checkpoint(round_k)
+                    self._t("checkpoint", t0)
+                round_k = self.start_round = round_k + 1
+                if stop_after_round is not None and round_k > stop_after_round:
+                    break
+            return self._result(round_k)
+        except ray.exceptions.RayActorError as e:
+            last = (_complete_rounds(self.ckpt_dir)
+                    if self.ckpt_dir and os.path.isdir(self.ckpt_dir) else [])
+            raise RuntimeError(
+                f"a crawl state actor died in round {round_k}; "
+                + (f"the last complete checkpoint is {last[-1]}: continue "
+                   f"with CrawlEngine.resume({self.ckpt_dir!r}, web_cfg)"
+                   if last else "there is no complete checkpoint to resume "
+                   "from")) from e
 
     # ------------------------------------------------------------------
     def _t(self, phase: str, t0: float) -> float:
@@ -527,13 +580,11 @@ class CrawlEngine:
         t = _time.perf_counter()
 
         # ---- 1. politeness admission ----
-        # frontier shard i and politeness shard i own the same hosts
-        # (host_shard_of routing): counts flow SHARD→SHARD directly
-        # (FrontierShard.admit_with calls its aligned HostShard); only the
-        # admitted window (O(round)) and a per-shard 3-field telemetry
-        # dict reach the driver — never the O(#hosts) count map.
-        admitted, shard_stats = self.frontier.admit_with(
-            self.host_shards, round_k)
+        # each host partition admits from its own pending rows through its
+        # own politeness clocks; only the admitted window (O(round)) and a
+        # per-shard 3-field telemetry dict reach the driver — never the
+        # O(#hosts) count map.
+        admitted, shard_stats = self.frontier.admit_with(round_k)
         self._round_rows_in = sum(s["rows_in"] for s in shard_stats)
         # skew telemetry: per-shard pending rows + the round's hottest host
         # (north_rule "salted splits for hot domains": the round stage's
@@ -886,13 +937,14 @@ class CrawlEngine:
 
     # ------------------------------------------------------------------
     def _checkpoint(self, round_k: int) -> None:
-        """Round checkpoint: every actor-side snapshot task (frontier /
-        footprint / cuckoo shards, host shards) is SUBMITTED first, then
-        the driver's own file writes run concurrently with them and ONE
-        ``ray.get`` barrier lands everything before ``_SUCCESS`` (the old
-        code held three pool-level barriers before its first local
-        write).  A crash mid-write leaves no success marker and resume
-        falls back to the previous round (the SIGKILL test's contract).
+        """Round checkpoint: every actor-side snapshot task (host
+        partitions, seen and footprint halves of the URL shards) is
+        SUBMITTED first, then the driver's own file writes run concurrently
+        with them and ONE ``ray.get`` barrier lands everything before
+        ``_SUCCESS`` (the old code held three pool-level barriers before
+        its first local write).  A crash mid-write leaves no success marker
+        and resume falls back to the previous round (the SIGKILL test's
+        contract).
 
         Actor task order is per submitting caller, so the snapshots are
         serialized before any mutation the next round submits to the same
@@ -905,8 +957,8 @@ class CrawlEngine:
         fp_refs, self._fp_put_refs = self._fp_put_refs, []
         rd = os.path.join(self.ckpt_dir, f"round={round_k:05d}")
         os.makedirs(rd, exist_ok=True)
-        # sharded state checkpoints itself: each frontier / footprint /
-        # cuckoo shard writes its own blob under the round dir — the blobs
+        # sharded state checkpoints itself: each host partition and URL
+        # shard writes its own blobs under the round dir — the blobs
         # never round-trip through the driver (round-1 verdict #2/#3).
         # KV pools write DELTAS (bytes ∝ the round, not the corpus), with a
         # periodic full blob bounding the restore chain; the frontier
@@ -916,9 +968,6 @@ class CrawlEngine:
             self.frontier.checkpoint_refs(rd)
             + self.footprints.checkpoint_refs(rd, full=full)
             + self.seen.checkpoint_refs(rd, full=full)
-            + [shard.checkpoint.remote(
-                   os.path.join(rd, f"host_shard{i}.json"))
-               for i, shard in enumerate(self.host_shards)]
         )
         fetched = getattr(self, "_round_fetched", None)
         if fetched is None:
@@ -939,6 +988,9 @@ class CrawlEngine:
             "permanent": dict(self.blacklist.permanent),
             "temp": sorted(self.blacklist.temp)})
         excluded_json = json.dumps(self._round_excluded_docs)
+        engine_json = json.dumps({"layout": CHECKPOINT_LAYOUT,
+                                  "options": self.options,
+                                  "settings": asdict(self.settings)})
         token_delta = self._round_token_partial       # replaced per round,
         lin = getattr(self, "_round_lineage", None)   # never mutated
 
@@ -962,6 +1014,8 @@ class CrawlEngine:
         )
         with open(os.path.join(rd, "excluded_docs.json"), "w") as f:
             f.write(excluded_json)
+        with open(os.path.join(rd, "engine.json"), "w") as f:
+            f.write(engine_json)
         if lin:
             pq.write_table(pa.table({k: [v] for k, v in lin.items()}),
                            os.path.join(rd, "lineage.parquet"))
@@ -973,104 +1027,43 @@ class CrawlEngine:
 
     @classmethod
     def resume(cls, ckpt_dir: str, web_cfg: sw.WebConfig,
-               settings: CrawlSettings | None = None, **kwargs) -> "CrawlEngine":
-        rounds = sorted(
-            d for d in os.listdir(ckpt_dir)
-            if d.startswith("round=")
-            and os.path.exists(os.path.join(ckpt_dir, d, "_SUCCESS"))
-        )
+               settings: CrawlSettings | None = None,
+               **options) -> "CrawlEngine":
+        """Restart from the last complete round of ``ckpt_dir`` (a fresh
+        crawl when there is none).  The options and, when ``settings`` is
+        None, the crawl settings default to those the checkpoint was
+        written with; the shard counts are the checkpoint's own, and a
+        conflicting one raises ``ValueError``, as does a checkpoint of
+        another layout version."""
+        rounds = _complete_rounds(ckpt_dir)
         if not rounds:
-            return cls(web_cfg, settings, ckpt_dir=ckpt_dir, **kwargs)
-        last = rounds[-1]
-        rd = os.path.join(ckpt_dir, last)
-        round_k = int(last.split("=")[1])
-
-        self = cls.__new__(cls)
-        self.web_cfg = web_cfg
-        self.settings = settings or CrawlSettings()
-        self.ckpt_dir = ckpt_dir
-        self.n_seen_shards = kwargs.get("n_seen_shards", 4)
-        # Shard count is a property of the CHECKPOINT, not of this call:
-        # the frontier and politeness pools must agree on hash(host)%N or
-        # per-host rows route to shards that don't own that host's state.
-        # Derive N from the on-disk host_shard*.json count and refuse a
-        # conflicting explicit kwarg instead of silently using both.
-        n_disk = len([f for f in os.listdir(rd)
-                      if f.startswith("host_shard") and f.endswith(".json")])
-        n_kw = kwargs.get("n_host_shards")
-        if n_disk and n_kw is not None and n_kw != n_disk:
+            return cls(web_cfg, settings, ckpt_dir=ckpt_dir, **options)
+        rd = rounds[-1]
+        path = os.path.join(rd, "engine.json")
+        saved: dict = {}
+        if os.path.exists(path):
+            with open(path) as f:
+                saved = json.load(f)
+        found = saved.get("layout", "none")
+        if found != CHECKPOINT_LAYOUT:
             raise ValueError(
-                f"n_host_shards={n_kw} conflicts with checkpoint at {rd} "
-                f"({n_disk} host_shard*.json files); omit the kwarg on resume")
-        self.n_host_shards = n_disk or n_kw or 2
-        self.fetch_concurrency = kwargs.get("fetch_concurrency", 4)
-        self.fetch_batch_size = kwargs.get("fetch_batch_size", 16)
-        self.seen_buckets = kwargs.get("seen_buckets", 1 << 14)
-        self.inline_threshold = kwargs.get("inline_threshold", 128)
-        self.fetch_module = kwargs.get(
-            "fetch_module", "spidey_ray.sources.synthetic_web")
-        self.fetch_name = kwargs.get("fetch_name", "make_fetch_fn")
-        self.fetch_kwargs = kwargs.get("fetch_kwargs") or _cfg_dict(web_cfg)
-        self._synthetic_fetch = (
-            self.fetch_module == "spidey_ray.sources.synthetic_web")
-        self._pattern = self.settings.netloc_pattern()
-        import uuid as _uuid
-
-        self._blacklist_version = (_uuid.uuid4().hex[:12], 0)
-        self.start_round = round_k + 1
-        self.timings = {}
-
-        # sharded state restores itself: each shard loads its own blob
-        self.frontier = ShardedFrontier.restore(
-            rd, self.n_host_shards,
-            spill_dir=os.path.join(ckpt_dir, ".frontier_spill"),
-            mem_rows_per_host=kwargs.get("frontier_mem_rows_per_host",
-                                         200_000))
-        round_dirs = [os.path.join(ckpt_dir, r) for r in rounds]
-        self.footprints = ShardedFootprints.restore(round_dirs)
-        self._fp_put_refs = []
-        self.ckpt_compact_every = max(1, kwargs.get("ckpt_compact_every", 16))
-        self._fetched_frames = []   # read from fetched_delta logs at result time
-
-        with open(os.path.join(rd, "gate.json")) as f:
-            g = json.load(f)
-        self.gate = GateState(
-            previouspage=g["previouspage"],
-            unique_url_count=g["unique_url_count"],
-            query_dict={k: [(int(v[0][0]), int(v[0][1])), int(v[1])]
-                        for k, v in g["query_dict"].items()},
-        )
-        self.fetch_seq = g["fetch_seq"]
-        self.longest = [tuple(x) for x in g["longest"]]
-
-        with open(os.path.join(rd, "blacklist.json")) as f:
-            b = json.load(f)
-        self.blacklist = BlacklistState(
-            permanent=dict(b["permanent"]), temp=set(b["temp"]))
-
-        # token counts / exclusions are NOT rebuilt here: the per-round
-        # checkpoint logs are authoritative and EngineResult aggregates them
-        # lazily/distributed at result time (round-2 verdict: the resume
-        # loop re-materialized the whole web vocabulary on the driver)
-        self._token_part_refs = None
-        self._host_allow_all = set()   # warm caches rebuilt lazily after resume
-        self._host_rules = {}
-
-        self.seen = ShardedSeen.restore_from_dirs(round_dirs)
-
-        snap_paths = sorted(
-            os.path.join(rd, f) for f in os.listdir(rd)
-            if f.startswith("host_shard") and f.endswith(".json")
-        )
-        assert not snap_paths or len(snap_paths) == self.n_host_shards
-        self.host_shards = [
-            HostShard.remote(
-                self.settings, self.fetch_module, self.fetch_name,
-                self.fetch_kwargs, snapshot_path=p,
-            )
-            for p in snap_paths
-        ]
-        self._await_actors()
+                f"checkpoint {rd} has layout version {found}, this engine "
+                f"reads version {CHECKPOINT_LAYOUT}; its state would restore "
+                f"into the wrong shards, so start the crawl again instead")
+        # Shard counts are a property of the CHECKPOINT, not of this call:
+        # every shard's state routes by key % N, so refuse a conflicting
+        # explicit kwarg instead of silently using both.
+        for name in ("n_seen_shards", "n_host_shards"):
+            if options.get(name) not in (None, saved["options"][name]):
+                raise ValueError(
+                    f"{name}={options[name]} conflicts with checkpoint at "
+                    f"{rd} ({saved['options'][name]}); omit the kwarg on "
+                    f"resume")
+        self = cls.__new__(cls)
+        self._build(web_cfg, settings or CrawlSettings(**saved["settings"]),
+                    ckpt_dir, {**saved["options"], **{
+                        k: v for k, v in options.items() if v is not None}},
+                    round_dirs=rounds)
         return self
 
     # ------------------------------------------------------------------
@@ -1113,6 +1106,12 @@ def _update_longest(longest: list[tuple[int, str]], n: int, url: str) -> None:
 
 
 def _cfg_dict(cfg: sw.WebConfig) -> dict:
-    from dataclasses import asdict
-
     return asdict(cfg)
+
+
+def _complete_rounds(ckpt_dir: str) -> list[str]:
+    """The round dirs of ``ckpt_dir`` that carry ``_SUCCESS``, oldest
+    first."""
+    return [os.path.join(ckpt_dir, d) for d in sorted(os.listdir(ckpt_dir))
+            if d.startswith("round=")
+            and os.path.exists(os.path.join(ckpt_dir, d, "_SUCCESS"))]

@@ -18,7 +18,7 @@ them must run with ``max_retries=0`` (CrawlEngine does this automatically
 when a non-synthetic fetch_spec is configured).
 
 Both factories match the ``FetchFn`` signature
-(url → (final_url, status, content)) used by the politeness HostShard pool
+(url → (final_url, status, content)) used by the host-partition actors
 (robots/sitemap fetches) and the fused round stage, and are importable by
 module+name so actor construction ships no closures.
 """

@@ -1,28 +1,22 @@
-"""Sharded pending-frontier and footprint-KV state (north_rule scale posture:
-driver memory is O(round), never O(frontier) or O(crawled)).
+"""Sharded pending frontier (north_rule scale posture: driver memory is
+O(round), never O(frontier) or O(crawled)).
 
-``FrontierShard`` owns the pending rows of its hash-partition of HOSTS — the
-same ``host_shard_of`` routing as the politeness ``HostShard`` pool, so shard
-``i``'s candidate counts feed politeness shard ``i`` directly and the
-frontier is explicitly hash-partitioned by host (north_star).  Each shard:
+One ``HostPartition`` actor per hash-partition of HOSTS holds frontier shard
+``i`` (``FrontierShard``: the pending rows) and politeness shard ``i``
+(``politeness.HostShard``: per-host clocks and robots).  Both use the
+``host_shard_of`` route, so the frontier is explicitly hash-partitioned by
+host (north_star) and admission runs inside one actor: the shard's
+per-host candidate counts go straight to its own politeness clocks, and
+only the admitted prefix (O(round)) reaches the driver.  Each partition:
 
 - keeps per-host row lists and serves politeness admission as "first k rows
   of the host in canonical (depth, url) order" — the same per-host prefix
   the reference's single loop admits,
 - cancels blacklisted rows shard-side (regex over its own slice; returns
-  the removed url-hashes so the driver can delete them from the cuckoo
+  the removed url-hashes so the driver can delete them from the seen
   shards — ``cancel_urls``, frontier.py:80-92),
-- writes its OWN checkpoint parquet (the driver records paths, never the
-  rows), and restores from it on resume.
-
-``FootprintShard`` is the (url → (simhash, n_tokens)) KV pool behind the
-crawl-time near-dup gates: the gate loop only ever needs the footprints of
-the round's PARENT urls plus the carried previous-page url — all known
-before the loop — so the driver batch-prefetches exactly those keys, runs
-the sequential gates against a round-local dict, and batch-writes the
-round's new footprints back.  Driver footprint memory is O(round); the
-corpus-sized map lives sharded here (replacing the old driver dict that the
-round-1 verdict flagged as O(corpus)).
+- writes its OWN checkpoint files (pending parquet and host-state JSON; the
+  driver records paths, never the rows), and restores from them on resume.
 """
 
 from __future__ import annotations
@@ -30,13 +24,12 @@ from __future__ import annotations
 import os
 import re
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from .politeness import host_shard_of
+from .politeness import HostShard, host_shard_of
 
 _FRONTIER_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
 
@@ -56,9 +49,8 @@ def _row_key(r: tuple) -> tuple:
     return (r[3], r[0])                 # canonical (depth, url)
 
 
-@ray.remote(num_cpus=0.01)
 class FrontierShard:
-    """Pending rows for this shard's hosts, with BOUNDED resident memory
+    """Pending rows for this partition's hosts, with BOUNDED resident memory
     (SURVEY §7.5.7: frontier on disk, only the ready set in memory).
 
     Per host, the canonical-order HEAD stays in a memory list; when a
@@ -311,24 +303,6 @@ class FrontierShard:
             self._maybe_spill(host)
         return removed
 
-    def admit_with(self, host_shard, round_k: int) -> tuple[pa.Table, dict]:
-        """Full admission step for this shard WITHOUT driver mediation:
-        per-host pending counts go straight to the aligned politeness
-        shard (same ``host_shard_of`` partition), the granted window comes
-        back, and only the admitted prefix (O(round)) plus a 3-field
-        telemetry dict ever reach the driver.  The old flow shipped every
-        (host, count) pair through the driver each round — O(#hosts)
-        driver traffic at corpus scale."""
-        counts = self.host_counts()
-        stats = {"rows_in": int(sum(counts.values())),
-                 "hot_host": "", "hot_rows": 0}
-        if not counts:
-            return _rows_table([]), stats
-        hh = max(counts, key=lambda h: (counts[h], h))
-        stats["hot_host"], stats["hot_rows"] = hh, int(counts[hh])
-        n_admit = ray.get(host_shard.admit.remote(counts, round_k))
-        return self.admit(n_admit), stats
-
     def count(self) -> int:
         return self.n
 
@@ -341,7 +315,7 @@ class FrontierShard:
                 tabs.append(pq.read_table(f))
         return pa.concat_tables(tabs)
 
-    def checkpoint(self, path: str) -> int:
+    def checkpoint_pending(self, path: str) -> int:
         """Write mem rows to ``path`` and HARD-LINK the immutable spill
         files into ``path + '.spill/'`` with a JSON manifest — checkpoint
         I/O is O(mem rows + #spill files), not O(pending frontier).
@@ -378,27 +352,67 @@ class FrontierShard:
         return self.n
 
 
-class ShardedFrontier:
-    """Driver facade. One RPC per shard per step; only admitted/added rows
-    (O(round)) ever cross the driver boundary."""
+@ray.remote(num_cpus=0.01)
+class HostPartition(FrontierShard, HostShard):
+    """Host partition ``i``: frontier shard ``i`` and politeness shard ``i``
+    in one actor process (both own the hosts ``host_shard_of`` routes to
+    ``i``).  ``fetch_spec`` is the (module, factory, kwargs) of the robots
+    fetcher."""
 
-    def __init__(self, n_shards: int, blob_paths: list[str] | None = None,
+    def __init__(self, settings, fetch_spec: tuple,
+                 pending_path: str | None = None,
+                 hosts_path: str | None = None,
                  spill_dir: str | None = None,
                  mem_rows_per_host: int = 200_000):
-        self.n_shards = n_shards
+        FrontierShard.__init__(self, pending_path, spill_dir,
+                               mem_rows_per_host)
+        HostShard.__init__(self, settings, *fetch_spec,
+                           snapshot_path=hosts_path)
 
-        def _mk(i: int, blob: str | None):
-            return FrontierShard.remote(
-                blob_path=blob,
-                spill_dir=(os.path.join(spill_dir, f"shard{i}")
-                           if spill_dir else None),
-                mem_rows_per_host=mem_rows_per_host,
-            )
+    def admit_with(self, round_k: int) -> tuple[pa.Table, dict]:
+        """Full admission step for this partition: per-host pending counts
+        go to this actor's own politeness clocks, and only the admitted
+        prefix (O(round)) plus a 3-field telemetry dict reach the driver —
+        never the O(#hosts) count map."""
+        counts = self.host_counts()
+        stats = {"rows_in": int(sum(counts.values())),
+                 "hot_host": "", "hot_rows": 0}
+        if not counts:
+            return _rows_table([]), stats
+        hh = max(counts, key=lambda h: (counts[h], h))
+        stats["hot_host"], stats["hot_rows"] = hh, int(counts[hh])
+        return self.admit(self.grant(counts, round_k)), stats
 
-        if blob_paths is not None:
-            self.shards = [_mk(i, p) for i, p in enumerate(blob_paths)]
-        else:
-            self.shards = [_mk(i, None) for i in range(n_shards)]
+    def checkpoint(self, pending_path: str, hosts_path: str) -> int:
+        self.checkpoint_hosts(hosts_path)
+        return self.checkpoint_pending(pending_path)
+
+
+def start_host_partitions(n_shards: int, settings, fetch_spec: tuple,
+                          spill_dir: str | None, mem_rows_per_host: int,
+                          round_dir: str | None = None) -> list:
+    """Start the host-partition pool; with ``round_dir`` (a complete round
+    of a checkpoint) each partition restores its own pending rows and host
+    states."""
+    return [HostPartition.remote(
+        settings, fetch_spec,
+        pending_path=(os.path.join(round_dir, f"pending_shard{i}.parquet")
+                      if round_dir else None),
+        hosts_path=(os.path.join(round_dir, f"host_shard{i}.json")
+                    if round_dir else None),
+        spill_dir=os.path.join(spill_dir, f"shard{i}") if spill_dir else None,
+        mem_rows_per_host=mem_rows_per_host)
+        for i in range(n_shards)]
+
+
+class ShardedFrontier:
+    """Driver facade over the host-partition pool. One RPC per shard per
+    step; only admitted/added rows (O(round)) ever cross the driver
+    boundary."""
+
+    def __init__(self, shards: list):
+        self.shards = shards
+        self.n_shards = len(shards)
 
     def add_df(self, df: pd.DataFrame) -> None:
         if not len(df):
@@ -416,34 +430,12 @@ class ShardedFrontier:
                                          preserve_index=False)))
         ray.get(refs)
 
-    def host_counts_per_shard(self) -> list[dict[str, int]]:
-        return ray.get([s.host_counts.remote() for s in self.shards])
-
-    def admit(self, n_admit_per_shard: list[dict[str, int]]) -> pd.DataFrame:
-        refs = [
-            s.admit.remote(n_admit)
-            for s, n_admit in zip(self.shards, n_admit_per_shard) if n_admit
-        ]
-        tabs = [t for t in ray.get(refs) if len(t)]
-        if not tabs:
-            return pa.concat_tables([_rows_table([])]).to_pandas()
-        return pa.concat_tables(tabs).to_pandas()
-
-    def admit_with(self, host_shards: list,
-                   round_k: int) -> tuple[pd.DataFrame, list[dict]]:
-        """Shard-parallel direct admission (see FrontierShard.admit_with):
-        returns (admitted rows, per-shard telemetry). ``host_shards[i]``
-        must own the same hosts as frontier shard i (both use
-        ``host_shard_of`` routing)."""
-        parts = ray.get([
-            s.admit_with.remote(hs, round_k)
-            for s, hs in zip(self.shards, host_shards)
-        ])
-        tabs = [t for t, _ in parts if len(t)]
-        stats = [st for _, st in parts]
-        if not tabs:
-            return pa.concat_tables([_rows_table([])]).to_pandas(), stats
-        return pa.concat_tables(tabs).to_pandas(), stats
+    def admit_with(self, round_k: int) -> tuple[pd.DataFrame, list[dict]]:
+        """Shard-parallel admission (see HostPartition.admit_with): returns
+        (admitted rows, per-shard telemetry)."""
+        parts = ray.get([s.admit_with.remote(round_k) for s in self.shards])
+        tabs = [t for t, _ in parts if len(t)] or [_rows_table([])]
+        return pa.concat_tables(tabs).to_pandas(), [st for _, st in parts]
 
     def cancel(self, patterns: list[str]) -> list[bytes]:
         outs = ray.get([s.cancel.remote(patterns) for s in self.shards])
@@ -457,208 +449,11 @@ class ShardedFrontier:
         return pa.concat_tables(tabs).to_pandas()
 
     def checkpoint_refs(self, round_dir: str) -> list:
-        """Submit every shard's checkpoint task and return the refs —
-        the caller may wait later (actor task order already guarantees
-        the snapshot precedes any subsequently submitted mutation)."""
-        paths = [os.path.join(round_dir, f"pending_shard{i}.parquet")
-                 for i in range(self.n_shards)]
-        return [s.checkpoint.remote(p) for s, p in zip(self.shards, paths)]
-
-    def checkpoint(self, round_dir: str) -> list[str]:
-        paths = [os.path.join(round_dir, f"pending_shard{i}.parquet")
-                 for i in range(self.n_shards)]
-        ray.get(self.checkpoint_refs(round_dir))
-        return paths
-
-    @classmethod
-    def restore(cls, round_dir: str, n_shards: int,
-                spill_dir: str | None = None,
-                mem_rows_per_host: int = 200_000) -> "ShardedFrontier":
-        paths = sorted(
-            os.path.join(round_dir, f) for f in os.listdir(round_dir)
-            if f.startswith("pending_shard") and f.endswith(".parquet")
-        )
-        kw = dict(spill_dir=spill_dir, mem_rows_per_host=mem_rows_per_host)
-        if len(paths) == n_shards:
-            return cls(n_shards, blob_paths=paths, **kw)
-        # shard count changed across resume: redistribute by host routing
-        # (mem parquet + the manifest-linked spill files per shard)
-        self = cls(n_shards, **kw)
-        tabs = []
-        for p in paths:
-            tabs.append(pq.read_table(p))
-            sdir = p + ".spill"
-            if os.path.isdir(sdir):
-                for f in sorted(os.listdir(sdir)):
-                    tabs.append(pq.read_table(os.path.join(sdir, f)))
-        if tabs:
-            self.add_df(pa.concat_tables(tabs).to_pandas())
-        return self
-
-
-# ---------------------------------------------------------------------------
-# footprint KV pool
-# ---------------------------------------------------------------------------
-
-
-def _footprints_table(items: dict[str, tuple[int, int]]) -> pa.Table:
-    return pa.table({
-        "url": pa.array(list(items.keys()), type=pa.string()),
-        "simhash": pa.array([np.uint64(v[0]) for v in items.values()],
-                            type=pa.uint64()),
-        "n_tokens": pa.array([v[1] for v in items.values()],
-                             type=pa.int64()),
-    })
-
-
-@ray.remote(num_cpus=0.01)
-class FootprintShard:
-    """(url → (simhash, n_tokens)) KV shard with DELTA checkpoints: each
-    round writes only the keys added since the last checkpoint (footprints
-    are append-only — a url is fetched once), with a periodic full blob so
-    the restore chain stays short.  (Round-2 verdict: the full-dict rewrite
-    per round was O(corpus) write amplification × rounds.)"""
-
-    def __init__(self, chain_paths: list[str] | None = None):
-        self.d: dict[str, tuple[int, int]] = {}
-        self._delta: dict[str, tuple[int, int]] = {}
-        for p in chain_paths or []:
-            t = pq.read_table(p)
-            for u, s, n in zip(t["url"].to_pylist(),
-                               t["simhash"].to_pylist(),
-                               t["n_tokens"].to_pylist()):
-                self.d[u] = (int(s), int(n))
-
-    def get_many(self, urls: list[str]) -> dict[str, tuple[int, int]]:
-        return {u: self.d[u] for u in urls if u in self.d}
-
-    def put_many(self, items: dict[str, tuple[int, int]]) -> int:
-        self.d.update(items)
-        self._delta.update(items)
-        return len(self.d)
-
-    def put_arrays(self, urls: list[str], simhash, n_tokens) -> int:
-        """Columnar put: two numpy buffers serialize zero-copy where a
-        100k-entry dict costs ~200k msgpack objects on the caller."""
-        items = dict(zip(urls, zip(simhash.tolist(), n_tokens.tolist())))
-        self.d.update(items)
-        self._delta.update(items)
-        return len(self.d)
-
-    def count(self) -> int:
-        return len(self.d)
-
-    def checkpoint(self, path: str, full: bool = False) -> int:
-        pq.write_table(_footprints_table(self.d if full else self._delta),
-                       path)
-        self._delta = {}
-        return len(self.d)
-
-
-class ShardedFootprints:
-    """Batched (url → footprint) KV facade; keys route by host-style hash."""
-
-    def __init__(self, n_shards: int,
-                 chain_paths: list[list[str]] | None = None):
-        self.n_shards = n_shards
-        if chain_paths is not None:
-            self.shards = [FootprintShard.remote(chain_paths=c)
-                           for c in chain_paths]
-        else:
-            self.shards = [FootprintShard.remote() for _ in range(n_shards)]
-
-    def _route(self, url: str) -> int:
-        # crc32: deterministic across processes (restores must re-find keys
-        # in the same shard) and ~20× cheaper than sha1 at per-url volume
-        import zlib
-
-        return zlib.crc32(url.encode()) % self.n_shards
-
-    def get_many_refs(self, urls: list[str]) -> list:
-        """Submit the per-shard lookups and return the refs WITHOUT
-        waiting — callers that know their keys early (the crawl round
-        knows its parent urls at ADMISSION time) overlap the KV
-        round-trip with other work and merge via ``collect_many``.
-        Actor submission order guarantees these reads see every
-        previously-submitted ``put_many`` from the same caller."""
-        by_shard: list[list[str]] = [[] for _ in range(self.n_shards)]
-        for u in urls:
-            by_shard[self._route(u)].append(u)
-        return [s.get_many.remote(us)
-                for s, us in zip(self.shards, by_shard) if us]
-
-    @staticmethod
-    def collect_many(refs: list) -> dict[str, tuple[int, int]]:
-        out: dict[str, tuple[int, int]] = {}
-        for d in ray.get(refs):
-            out.update(d)
-        return out
-
-    def get_many(self, urls: list[str]) -> dict[str, tuple[int, int]]:
-        return self.collect_many(self.get_many_refs(urls))
-
-    def put_many(self, items: dict[str, tuple[int, int]]) -> list:
-        """Submit the writes and return the refs WITHOUT waiting.  Safe to
-        fire-and-forget for correctness: Ray executes actor tasks from the
-        same caller in submission order, so any later ``get_many`` /
-        ``checkpoint`` on a shard serializes behind this put.  Callers keep
-        the refs and drain them at a sync point purely to surface errors."""
-        import numpy as np
-
-        by_shard: list[list] = [[] for _ in range(self.n_shards)]
-        for u, v in items.items():
-            by_shard[self._route(u)].append((u, v))
-        refs = []
-        for s, rows in zip(self.shards, by_shard):
-            if rows:
-                urls = [u for u, _ in rows]
-                sh = np.fromiter((v[0] for _, v in rows),
-                                 dtype=np.uint64, count=len(rows))
-                nt = np.fromiter((v[1] for _, v in rows),
-                                 dtype=np.int64, count=len(rows))
-                refs.append(s.put_arrays.remote(urls, sh, nt))
-        return refs
-
-    def checkpoint_refs(self, round_dir: str, full: bool = False) -> list:
-        kind = "full" if full else "delta"
-        paths = [
-            os.path.join(round_dir, f"footprints_{kind}_shard{i}.parquet")
-            for i in range(self.n_shards)
-        ]
-        return [s.checkpoint.remote(p, full)
-                for s, p in zip(self.shards, paths)]
-
-    def checkpoint(self, round_dir: str, full: bool = False) -> list[str]:
-        kind = "full" if full else "delta"
-        paths = [
-            os.path.join(round_dir, f"footprints_{kind}_shard{i}.parquet")
-            for i in range(self.n_shards)
-        ]
-        ray.get(self.checkpoint_refs(round_dir, full=full))
-        return paths
-
-    @classmethod
-    def restore(cls, round_dirs: list[str]) -> "ShardedFootprints":
-        """Rebuild from an ORDERED chain of successful round dirs: each
-        shard replays the newest full blob (if any) plus every delta after
-        it — restore reads O(corpus) once, but each round only ever wrote
-        its own delta."""
-        n_shards = 0
-        for rd in reversed(round_dirs):
-            n_shards = len([f for f in os.listdir(rd)
-                            if f.startswith("footprints_")
-                            and f.endswith(".parquet")])
-            if n_shards:
-                break
-        if not n_shards:
-            return cls(4)       # matches CrawlEngine's default n_seen_shards
-        chains: list[list[str]] = [[] for _ in range(n_shards)]
-        for rd in round_dirs:
-            for i in range(n_shards):
-                fp = os.path.join(rd, f"footprints_full_shard{i}.parquet")
-                dp = os.path.join(rd, f"footprints_delta_shard{i}.parquet")
-                if os.path.exists(fp):
-                    chains[i] = [fp]       # full blob supersedes the prefix
-                elif os.path.exists(dp):
-                    chains[i].append(dp)
-        return cls(n_shards, chain_paths=chains)
+        """Submit every partition's checkpoint task (pending rows and host
+        states) and return the refs — the caller may wait later (actor task
+        order already guarantees the snapshot precedes any subsequently
+        submitted mutation)."""
+        return [s.checkpoint.remote(
+                    os.path.join(round_dir, f"pending_shard{i}.parquet"),
+                    os.path.join(round_dir, f"host_shard{i}.json"))
+                for i, s in enumerate(self.shards)]

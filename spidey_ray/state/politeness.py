@@ -26,10 +26,11 @@ window, which then advances by the host's delay.  The clock is virtual —
 synthetic fetches are instantaneous — but the ordering/budget semantics are
 exactly what a wall-clock min-heap scheduler enforces on a real fetcher.
 
-``HostShard`` is the Ray actor wrapper: hosts are hash-partitioned across a
-fixed pool (all traffic for one host goes through one shard, the correctness
-requirement of SURVEY.md §4), and every method is batched so actor round
-trips per crawl round stay O(n_shards).
+``HostShard`` holds the host states of one hash-partition of hosts (all
+traffic for one host goes through one shard, the correctness requirement of
+SURVEY.md §4).  It runs inside the ``frontier.HostPartition`` actor next to
+the same partition's pending rows, and every method is batched so actor
+round trips per crawl round stay O(n_shards).
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable
-
-import ray
 
 from ..functions import urltools
 from ..functions.tokenize import crawl_tokenize  # noqa: F401  (re-export convenience)
@@ -196,15 +195,15 @@ def host_shard_of(host: str, n_shards: int) -> int:
     return int.from_bytes(hashlib.sha1(host.encode()).digest()[:4], "big") % n_shards
 
 
-@ray.remote(num_cpus=0.01)
 class HostShard:
-    """Actor owning the HostState of its hash-partition of hosts."""
+    """The HostState of one hash-partition of hosts."""
 
     def __init__(self, settings: CrawlSettings, fetch_factory_module: str,
                  fetch_factory_name: str, fetch_factory_arg: dict,
-                 snapshot: dict | None = None,
                  snapshot_path: str | None = None):
         import importlib
+        import json
+        import os
 
         self.settings = settings
         mod = importlib.import_module(fetch_factory_module)
@@ -212,21 +211,16 @@ class HostShard:
         pattern = settings.netloc_pattern()
         self.is_valid = lambda u: urltools.is_valid(u, pattern)
         self.hosts: dict[str, HostState] = {}
-        if snapshot_path is not None:
-            import json
-            import os
-
-            if os.path.exists(snapshot_path):
-                with open(snapshot_path) as f:
-                    snapshot = json.load(f)
-        if snapshot:
-            for h, s in snapshot.items():
-                st = HostState(host=h, robots_processed=s["robots_processed"],
-                               crawl_delay=s["crawl_delay"], clock=s["clock"],
-                               n_urls=s["n_urls"], robots_txt=s["robots_txt"])
-                if s["robots_txt"] is not None:
-                    st.robots = RobotsRules.parse(s["robots_txt"])
-                self.hosts[h] = st
+        if snapshot_path is not None and os.path.exists(snapshot_path):
+            with open(snapshot_path) as f:
+                for h, s in json.load(f).items():
+                    st = HostState(
+                        host=h, robots_processed=s["robots_processed"],
+                        crawl_delay=s["crawl_delay"], clock=s["clock"],
+                        n_urls=s["n_urls"], robots_txt=s["robots_txt"])
+                    if s["robots_txt"] is not None:
+                        st.robots = RobotsRules.parse(s["robots_txt"])
+                    self.hosts[h] = st
 
     def _get(self, host: str) -> HostState:
         if host not in self.hosts:
@@ -303,9 +297,9 @@ class HostShard:
                          "robots_txt": None if allow_all else state.robots_txt}
         return out
 
-    def admit(self, cands_by_host: dict[str, int], round_k: int) -> dict:
-        """Politeness admission for this shard's hosts. The driver holds the
-        per-host canonical order; only candidate COUNTS cross the wire.
+    def grant(self, cands_by_host: dict[str, int], round_k: int) -> dict:
+        """Politeness admission for this shard's hosts, from per-host
+        candidate COUNTS (the pending rows hold the canonical order).
         Returns {host: n_admitted} — the admitted prefix length of each
         host's ordered list (admission is order-respecting by construction,
         see admit_round)."""
@@ -327,7 +321,7 @@ class HostShard:
             if s is not None and s.robots_processed:
                 s.n_urls += n
 
-    def checkpoint(self, path: str) -> int:
+    def checkpoint_hosts(self, path: str) -> int:
         """Write this shard's own snapshot — the driver records the path
         only (the per-round host-state JSON is O(hosts) and must not
         round-trip the driver every round at 10^10-frontier host counts)."""

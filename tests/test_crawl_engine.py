@@ -195,10 +195,11 @@ class TestResume:
 
     def test_resume_returns_with_actors_up(self, ray_session, small_web,
                                            tmp_path):
-        """``resume`` (like ``__init__``) returns only once every seen,
-        footprint, frontier and host actor is up, and times that wait as
+        """``resume`` (like ``__init__``) returns only once every URL-shard
+        and host-partition actor is up, and times that wait as
         ``timings["engine_init"]`` — before, actor start-up landed untimed in
-        the first round of ``run()``."""
+        the first round of ``run()``.  The four facades share the two pools:
+        ``n_seen_shards + n_host_shards`` actors in all."""
         import ray
         from ray._private import state
 
@@ -211,9 +212,11 @@ class TestResume:
         del eng
         resumed = CrawlEngine.resume(ckpt, small_web)
         assert resumed.timings["engine_init"] > 0
-        actors = (resumed.seen.shards + resumed.footprints.shards
-                  + resumed.frontier.shards + resumed.host_shards)
-        assert len(actors) == 12
+        handles = (resumed.seen.shards + resumed.footprints.shards
+                   + resumed.frontier.shards + resumed.host_shards)
+        actors = list({a._actor_id: a for a in handles}.values())
+        assert len(actors) == resumed.n_seen_shards + resumed.n_host_shards
+        assert len(actors) == 6
         states = [state.actors(actor_id=a._actor_id.hex())["State"]
                   for a in actors]
         assert states == ["ALIVE"] * len(actors)
@@ -240,6 +243,126 @@ class TestResume:
         resumed = CrawlEngine.resume(ckpt, small_web).run()
         assert resumed.fetch_log == crawl_serial(small_web).fetch_log
         shutil.rmtree(ckpt, ignore_errors=True)
+
+
+class TestStateLayout:
+    def test_footprints_live_in_their_seen_shard(self, ray_session,
+                                                 small_web, tmp_path):
+        """After a crawl, every fetched URL's footprint is held by exactly
+        one URL shard, and that shard's cuckoo filter holds the URL's seen
+        key."""
+        import ray
+
+        from spidey_ray.functions.urltools import url_hash
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.state.cuckoo import key64
+
+        eng = CrawlEngine(small_web, ckpt_dir=str(tmp_path / "ck"),
+                          n_seen_shards=3)
+        urls = eng.run().fetch_log
+        keys = np.array([key64(url_hash(u)) for u in urls], dtype=np.uint64)
+        shards = eng.footprints.shards
+        held = ray.get([s.get_many.remote(urls) for s in shards])
+        seen = ray.get([s.contains.remote(keys) for s in shards])
+        owners = {}
+        for i, fps in enumerate(held):
+            for u in fps:
+                assert u not in owners, u
+                owners[u] = i
+        assert len(owners) > len(urls) // 2      # most pages have a footprint
+        for j, u in enumerate(urls):
+            if u in owners:
+                assert seen[owners[u]][j], u
+
+    def test_resume_refuses_other_layout(self, ray_session, small_web,
+                                         tmp_path):
+        """A checkpoint whose last round carries no layout version, or
+        another one, is refused with the directory and both versions named —
+        its footprints would restore into the wrong shards."""
+        import json
+        import os
+
+        from spidey_ray.pipelines.crawl import CHECKPOINT_LAYOUT, CrawlEngine
+
+        ckpt = str(tmp_path / "ckl")
+        CrawlEngine(small_web, ckpt_dir=ckpt).run(stop_after_round=1)
+        rd = os.path.join(ckpt, "round=00001")
+        path = os.path.join(rd, "engine.json")
+        with open(path) as f:
+            saved = json.load(f)
+        assert saved["layout"] == CHECKPOINT_LAYOUT
+        saved["layout"] = CHECKPOINT_LAYOUT - 1
+        with open(path, "w") as f:
+            json.dump(saved, f)
+        with pytest.raises(ValueError) as err:
+            CrawlEngine.resume(ckpt, small_web)
+        msg = str(err.value)
+        assert rd in msg
+        assert f"version {CHECKPOINT_LAYOUT - 1}" in msg
+        assert f"version {CHECKPOINT_LAYOUT}" in msg
+        os.remove(path)
+        with pytest.raises(ValueError, match="layout version none"):
+            CrawlEngine.resume(ckpt, small_web)
+
+    def test_resume_without_kwargs_keeps_settings(self, ray_session,
+                                                  small_web, tmp_path):
+        """A resume given no options gets the options and crawl settings of
+        the engine that wrote the checkpoint (shard counts, seen buckets,
+        fetch width, window...), and finishes the same crawl."""
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.pipelines.oracle import crawl_serial
+        from spidey_ray.state.politeness import CrawlSettings
+
+        settings = CrawlSettings(round_window=7.0)
+        ckpt = str(tmp_path / "cks")
+        eng = CrawlEngine(small_web, settings, ckpt_dir=ckpt,
+                          n_seen_shards=3, n_host_shards=3,
+                          fetch_concurrency=3, fetch_batch_size=5,
+                          seen_buckets=1 << 10, inline_threshold=0,
+                          frontier_mem_rows_per_host=16,
+                          ckpt_compact_every=2)
+        eng.run(stop_after_round=1)
+        options = dict(eng.options)
+        del eng
+        with pytest.raises(ValueError, match="n_seen_shards"):
+            CrawlEngine.resume(ckpt, small_web, n_seen_shards=4)
+        resumed = CrawlEngine.resume(ckpt, small_web)
+        assert resumed.options == options
+        assert resumed.settings == settings
+        assert len(resumed.seen.shards) == 3
+        assert len(resumed.host_shards) == 3
+        res = resumed.run()
+        oracle = crawl_serial(small_web, settings)
+        assert res.fetch_log == oracle.fetch_log
+        assert res.seen_hashes == oracle.seen_hashes
+
+    def test_lost_url_shard_aborts_cleanly_then_resumes(self, ray_session,
+                                                        small_web, tmp_path):
+        """A URL-shard actor killed between rounds ends ``run()`` with a
+        RuntimeError that names the last complete round checkpoint and the
+        resume call; resuming from it gives the serial oracle's crawl."""
+        import os
+
+        import ray
+
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.pipelines.oracle import crawl_serial
+
+        ckpt = str(tmp_path / "ckk")
+        eng = CrawlEngine(small_web, ckpt_dir=ckpt)
+        eng.run(stop_after_round=1)
+        ray.kill(eng.seen.shards[1])
+        with pytest.raises(RuntimeError) as err:
+            eng.run()
+        msg = str(err.value)
+        assert os.path.join(ckpt, "round=00001") in msg
+        assert "CrawlEngine.resume" in msg
+        assert isinstance(err.value.__cause__, ray.exceptions.RayActorError)
+        del eng, err
+        res = CrawlEngine.resume(ckpt, small_web).run()
+        oracle = crawl_serial(small_web)
+        assert res.fetch_log == oracle.fetch_log
+        assert res.seen_hashes == oracle.seen_hashes
 
 
 class TestHotHostSkew:
@@ -399,9 +522,9 @@ class TestCuckoo:
         # adds-then-deletes replay would restore it absent)
         import ray
 
-        from spidey_ray.state.cuckoo import CuckooShard
+        from spidey_ray.state.cuckoo import UrlShard
 
-        shard = CuckooShard.remote(n_buckets=1 << 8)
+        shard = UrlShard.remote(n_buckets=1 << 8)
         k = np.array([42], dtype=np.uint64)
         others = np.arange(100, 200, dtype=np.uint64)
         ray.get(shard.seen_or_add.remote(np.concatenate([k, others])))
@@ -410,9 +533,9 @@ class TestCuckoo:
         gone = np.array([150], dtype=np.uint64)
         ray.get(shard.delete.remote(gone))            # stays deleted
         p = str(tmp_path / "delta.pkl")
-        ray.get(shard.checkpoint.remote(p, False))
+        ray.get(shard.checkpoint_seen.remote(p, False))
 
-        restored = CuckooShard.remote(chain_paths=[p])
+        restored = UrlShard.remote(seen_chain=[p])
         assert ray.get(restored.contains.remote(k)).all()
         assert not ray.get(restored.contains.remote(gone)).any()
         assert ray.get(restored.contains.remote(others[:5])).all()
@@ -435,7 +558,7 @@ class TestCuckoo:
 
 class TestAdmission:
     def test_admit_count_bit_identical_to_admit_round(self):
-        # HostShard.admit uses the O(admitted) counting form; it must give
+        # HostShard.grant uses the O(admitted) counting form; it must give
         # the same count AND the bit-identical float clock as the shared
         # admit_round oracle path for every (clock, delay, window) shape,
         # including zero crawl-delay and clocks past the window
@@ -482,6 +605,20 @@ class TestAdmission:
         assert admitted == [0, 1, 2, 3]
 
 
+def _host_partition(spill_dir):
+    """One host-partition actor with the synthetic fetcher and an
+    8-row-per-host memory cap."""
+    from dataclasses import asdict
+
+    from spidey_ray.state.frontier import HostPartition
+    from spidey_ray.state.politeness import CrawlSettings
+
+    return HostPartition.remote(
+        CrawlSettings(), ("spidey_ray.sources.synthetic_web", "make_fetch_fn",
+                          asdict(WebConfig())),
+        spill_dir=spill_dir, mem_rows_per_host=8)
+
+
 class TestFrontierSpill:
     def test_forced_spill_crawl_identical(self, ray_session, small_web,
                                           oracle_result, tmp_path):
@@ -520,10 +657,8 @@ class TestFrontierSpill:
         import pyarrow as pa
         import ray
 
-        from spidey_ray.state.frontier import FrontierShard
-
         spill = str(tmp_path / "sp")
-        shard = FrontierShard.remote(spill_dir=spill, mem_rows_per_host=8)
+        shard = _host_partition(spill)
         rows = {
             "url": [f"https://h.example.com/p/{i:03d}" for i in range(30)],
             "url_hash": [bytes([i]) * 20 for i in range(30)],
@@ -554,10 +689,8 @@ class TestFrontierSpill:
         import pyarrow as pa
         import ray
 
-        from spidey_ray.state.frontier import FrontierShard
-
         spill = str(tmp_path / "sp")
-        shard = FrontierShard.remote(spill_dir=spill, mem_rows_per_host=8)
+        shard = _host_partition(spill)
         rows = {
             "url": [f"https://h.example.com/p/{i:03d}" for i in range(40)],
             "url_hash": [bytes([i]) * 20 for i in range(40)],

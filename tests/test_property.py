@@ -26,6 +26,19 @@ def urls(draw):
 
 
 class TestUrlProperties:
+    @given(urls(), st.integers(1, 16))
+    @settings(max_examples=200)
+    def test_footprint_routes_with_seen_key(self, u, n):
+        """A URL's footprint goes to the shard its seen key goes to."""
+        from spidey_ray.state.cuckoo import ShardedFootprints, key64
+
+        u = urltools.normalize(u)
+        by_shard = ShardedFootprints([None] * n)._by_shard([u])
+        seen_shard = int(np.uint64(key64(urltools.url_hash(u)))
+                         % np.uint64(n))
+        assert by_shard[seen_shard] == [u]
+
+
     @given(urls())
     @settings(max_examples=200)
     def test_normalize_idempotent(self, u):
