@@ -27,7 +27,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-import spidey_ray  # noqa: F401  (installs the schema-hash log-noise filter)
+# the schema-hash log-noise filter and the engine's DataContext settings
+import spidey_ray.io  # noqa: F401
 
 
 def _quiet():

@@ -32,39 +32,3 @@ class _SchemaHashNoise(_logging.Filter):
 
 _logging.getLogger(
     "ray.data._internal.arrow_ops.transform_pyarrow").addFilter(_SchemaHashNoise())
-
-
-def _configure_data_context() -> None:
-    """Engine-wide Ray Data execution settings, applied on package import
-    (DataContext is process-local; workers re-apply it when they import the
-    package to deserialize our named functions).
-
-    ``use_push_based_shuffle``: Ray's default sort/groupby shuffle returns
-    one object PER (map block × reduce partition); sub-100 KB returns are
-    stored in the OWNER'S in-process store — i.e. the driver's heap.
-    Measured on this repo's own top-tokens aggregation (20.5 M rows,
-    47 MB on disk): driver RSS 1.74 GB with the default shuffle vs 0.26 GB
-    with push-based shuffle for the identical job — at corpus scale the
-    default would OOM the driver on fragment ownership alone.  Push-based
-    (magnet-style) shuffle merges map outputs node-side instead."""
-    try:
-        import os as _os
-
-        from ray.data import DataContext
-
-        ctx = DataContext.get_current()
-        ctx.use_push_based_shuffle = True
-        # Ray's default forces EVERY read to >= 200 blocks regardless of
-        # size: a 76 MB documents table becomes 314 tiny blocks, and every
-        # downstream map/groupby pays ~314 task launches + a 314-partition
-        # sort (measured: a 13k-row groupby chain at 23.7 s that is 4.9 s
-        # at 2x-CPU blocks). Cap the floor at 2x the machine's cores —
-        # block count for big data is still driven by target_max_block_size,
-        # so the 100 TB path (thousands of size-driven blocks) is unchanged.
-        ctx.read_op_min_num_blocks = min(
-            ctx.read_op_min_num_blocks, max(2 * (_os.cpu_count() or 16), 16))
-    except Exception:  # pragma: no cover - ray.data unavailable/changed API
-        pass
-
-
-_configure_data_context()

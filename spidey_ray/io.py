@@ -28,6 +28,38 @@ except ImportError:
 import ray.data
 
 
+def _configure_data_context() -> None:
+    """Engine-wide Ray Data execution settings, applied when this module is
+    imported; every module that builds a Ray Data plan imports it.  Only
+    the process that builds a plan reads them: Ray 2.49 copies the current
+    DataContext into each Dataset it creates, reads both settings while
+    planning, and ships that copy to every task it runs.  So the state
+    actors, which build no plan, need not import Ray Data at all.
+
+    ``use_push_based_shuffle``: Ray's default sort/groupby shuffle returns
+    one object PER (map block × reduce partition); sub-100 KB returns are
+    stored in the OWNER'S in-process store — i.e. the driver's heap.
+    Measured on this repo's own top-tokens aggregation (20.5 M rows,
+    47 MB on disk): driver RSS 1.74 GB with the default shuffle vs 0.26 GB
+    with push-based shuffle for the identical job — at corpus scale the
+    default would OOM the driver on fragment ownership alone.  Push-based
+    (magnet-style) shuffle merges map outputs node-side instead."""
+    ctx = ray.data.DataContext.get_current()
+    ctx.use_push_based_shuffle = True
+    # Ray's default forces EVERY read to >= 200 blocks regardless of
+    # size: a 76 MB documents table becomes 314 tiny blocks, and every
+    # downstream map/groupby pays ~314 task launches + a 314-partition
+    # sort (measured: a 13k-row groupby chain at 23.7 s that is 4.9 s
+    # at 2x-CPU blocks). Cap the floor at 2x the machine's cores —
+    # block count for big data is still driven by target_max_block_size,
+    # so the 100 TB path (thousands of size-driven blocks) is unchanged.
+    ctx.read_op_min_num_blocks = min(
+        ctx.read_op_min_num_blocks, max(2 * (os.cpu_count() or 16), 16))
+
+
+_configure_data_context()
+
+
 def table_format() -> str:
     return "lance" if HAVE_LANCE else "parquet"
 

@@ -1,36 +1,40 @@
 """The Ray-Data crawl engine: round-based BFS frontier expansion.
 
-Each round (SURVEY.md §7.2.7, north_rule):
+``CrawlEngine._run_round`` runs one round (SURVEY.md §7.2.7, north_rule) as
+phase methods that fill one record, ``_Round``; ``timings`` keys in brackets:
 
-1. ADMIT   — pending frontier rows in canonical (depth, url) order through
-             the per-host politeness clocks, inside each host-partition
-             actor (all of a host's traffic goes through its one partition
-             — SURVEY.md §4).  Only the admitted rows reach the driver.
-2. FUSED ROUND STAGE — ONE streaming ``map_batches`` execution
-             (stages/round_stage.py): fetch + span parse + tokenize +
-             stable simhash + token-count partials + document side-writes +
-             outlink checks, all over zero-copy Arrow blocks.  The heavy
-             columns (spans/tokens/content) never reach the driver; compact
-             records, packed token partials and candidate links do.
-3. GATES   — the sequential state machine (crawl_logic.apply_gates) over
-             the round's compact records in canonical order: query traps,
-             low-value, parent/previous-page similarity, blacklist
-             emissions.  O(round) work over ~100-byte records; the small
-             gate-suppressed set prunes candidate links and is recorded as
-             the documents-table exclusion list.
-4. ROBOTS  — one batched ``filter_links`` call per host partition: robots
-             fetch-on-first-sighting (charging the politeness clock,
-             scraper.py:68), sitemap ingestion, can_fetch gate.  Hosts
-             known to be rule-free are bypassed on the driver.
-5. SEEN    — batched ``seen_or_add`` on the URL-shard pool in
-             canonical (url, parent) order; first-seen-wins
-             (frontier.py:60-66).
-6. CHECKPOINT — pending frontier, per-round fetched delta, gate state,
-             blacklist, host snapshots, cuckoo blobs, token partials,
-             documents, exclusions and lineage go to Lance/Parquet under
-             ``ckpt_dir``; ``_SUCCESS`` marks the round complete.
-             ``CrawlEngine.resume`` restarts from the last complete round
-             (north_rule resumability).
+1. ``_admit`` [admit] — pending frontier rows in canonical (depth, url)
+   order through the per-host politeness clocks, inside each host-partition
+   actor (all of a host's traffic goes through its one partition —
+   SURVEY.md §4).  Only the admitted rows reach the driver.
+2. ``_number_fetches``, ``_prefetch_footprints``, ``_fetch_parse``
+   [fetch_parse_exec, fetch_parse] — the round's fetch-log delta, then ONE
+   fused stage (stages/round_stage.py): fetch + span parse + tokenize +
+   stable simhash + token-count partials + document side-writes + outlink
+   checks over zero-copy Arrow blocks.  Heavy columns never reach the
+   driver; compact records, token partials and candidate links do.
+3. ``_gates`` [gates] — the sequential state machine
+   (crawl_logic.apply_gates) over the compact records in canonical order:
+   query traps, low-value, parent/previous-page similarity, blacklist.
+4. ``_token_counts`` [token_counts] — the token-count partial, and the
+   gate-suppressed pages as the documents-table exclusion list.
+5. ``_link_check`` [link_check] — candidate outlinks minus those of
+   gate-suppressed pages; trap links become cancelling patterns.
+6. ``_robots`` [robots] — one batched ``filter_links`` call per host
+   partition: robots fetch-on-first-sighting (charging the politeness
+   clock, scraper.py:68), sitemap ingestion, can_fetch gate.  Hosts known
+   to be rule-free are bypassed on the driver.
+7. ``_add_rows_df`` [additions] — batched ``seen_or_add`` on the URL
+   shards in canonical (url, parent) order; first-seen-wins
+   (frontier.py:60-66).
+8. ``_boundary`` [boundary] — blacklist growth and the shard-side cancel.
+
+``run`` hands the record to ``_checkpoint`` [checkpoint]: pending frontier,
+fetched delta, gate state, blacklist, host snapshots, cuckoo blobs, token
+partials, documents, exclusions and lineage go to Parquet/JSON under
+``ckpt_dir``; ``_SUCCESS`` marks the round complete, and
+``CrawlEngine.resume`` restarts from the last complete one (north_rule
+resumability).
 
 Scale posture (10^10-frontier): driver memory is O(round).  The crawl
 state lives in two actor pools, ``n_seen_shards + n_host_shards`` actors in
@@ -56,8 +60,7 @@ from __future__ import annotations
 
 import json
 import os
-import re
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -67,12 +70,13 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from .. import io  # noqa: F401  (the engine's DataContext settings)
 from ..functions import urltools
 from ..sources import synthetic_web as sw
 from ..state.cuckoo import (ShardedFootprints, ShardedSeen, key64,
                             start_url_shards)
 from ..state.frontier import ShardedFrontier, start_host_partitions
-from ..state.politeness import CrawlSettings, host_shard_of
+from ..state.politeness import CrawlSettings
 from ..stages.round_stage import round_process_batch
 from . import crawl_logic
 from .crawl_logic import BlacklistState, GateState, NewPattern
@@ -113,6 +117,42 @@ OPTIONS = dict(
 def _empty_pending() -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series(dtype=o) for c, o in zip(
         PENDING_COLS, ["object", "object", "object", "int64", "object", "int64"])})
+
+
+_NO_TOKENS = pa.table({"token": pa.array([], type=pa.string()),
+                       "n": pa.array([], type=pa.int64())})
+
+
+@dataclass
+class _Round:
+    """One crawl round's value: ``_run_round``'s phases fill it in turn,
+    and ``_checkpoint`` writes it.  The defaults are those of a round that
+    admits nothing."""
+
+    k: int
+    rows_in_per_shard: list[int]       # pending rows of each host partition
+    hot_host: str                      # the round's hottest host, "" if none
+    hot_host_rows: int
+    fetched: pd.DataFrame | None = None   # fetch-log delta (_number_fetches)
+    stage_blocks: int = 0
+    stage_max_block: int = 0
+    content_bytes: int = 0             # of the fetched pages
+    rows_out: int = 0                  # pending rows added for round k + 1
+    token_partial: pa.Table = field(default_factory=lambda: _NO_TOKENS)
+    excluded_docs: list[str] = field(default_factory=list)
+    new_patterns: list[NewPattern] = field(default_factory=list)
+    host_count_inc: dict[str, int] = field(default_factory=dict)  # count_urls
+
+    def lineage(self) -> dict:
+        """The round's row of ``lineage.parquet``."""
+        return dict(
+            round=self.k, rows_in=sum(self.rows_in_per_shard),
+            urls_fetched=len(self.fetched), rows_out=self.rows_out,
+            bytes=self.content_bytes,
+            rows_in_per_shard=json.dumps(self.rows_in_per_shard),
+            hot_host=self.hot_host, hot_host_rows=self.hot_host_rows,
+            stage_blocks=self.stage_blocks,
+            stage_max_block=self.stage_max_block)
 
 
 def _quiet_data_context():
@@ -320,6 +360,16 @@ class EngineResult:
                               kind="mergesort").head(k)
         return [(t, int(n)) for t, n in zip(top["token"], top["n"])]
 
+    def _drop_excluded(self):
+        """The one documents filter: a table → table function that drops
+        the gate-suppressed pages, with their value set built once, or None
+        when no page was suppressed."""
+        if not self.excluded_doc_ids:
+            return None
+        excl = pa.array(sorted(self.excluded_doc_ids), type=pa.string())
+        return lambda t: t.filter(pc.invert(
+            pc.is_in(t["doc_id"], value_set=excl)))
+
     def documents(self) -> pa.Table | None:
         """TEST/SMALL-RUN ONLY — eager driver-side concat of the documents
         table (used by the equality tests).  Production consumers stream
@@ -327,18 +377,14 @@ class EngineResult:
         whole corpus on the driver and must not be used at scale."""
         if self.documents_path is None or not os.path.exists(self.documents_path):
             return None
+        drop = self._drop_excluded()
         parts = []
         for rd in sorted(os.listdir(self.documents_path)):
             d = os.path.join(self.documents_path, rd)
             for f in sorted(os.listdir(d)):
                 if f.endswith(".parquet"):
                     t = pq.read_table(os.path.join(d, f))
-                    if self.excluded_doc_ids:
-                        excl = pa.array(sorted(self.excluded_doc_ids),
-                                        type=pa.string())
-                        t = t.filter(pc.invert(
-                            pc.is_in(t["doc_id"], value_set=excl)))
-                    parts.append(t)
+                    parts.append(drop(t) if drop else t)
         return pa.concat_tables(parts) if parts else None
 
     def documents_dataset(self) -> "ray.data.Dataset | None":
@@ -348,14 +394,8 @@ class EngineResult:
         if self.documents_path is None or not os.path.exists(self.documents_path):
             return None
         ds = ray.data.read_parquet(self.documents_path)
-        if self.excluded_doc_ids:
-            excl = pa.array(sorted(self.excluded_doc_ids), type=pa.string())
-            ds = ds.map_batches(
-                lambda t, _e=excl: t.filter(
-                    pc.invert(pc.is_in(t["doc_id"], value_set=_e))),
-                batch_format="pyarrow",
-            )
-        return ds
+        drop = self._drop_excluded()
+        return ds.map_batches(drop, batch_format="pyarrow") if drop else ds
 
 
 class CrawlEngine:
@@ -393,7 +433,7 @@ class CrawlEngine:
         self.fetch_module = o["fetch_module"]
         self.fetch_name = o["fetch_name"]
         self.fetch_kwargs = (o["fetch_kwargs"] if o["fetch_kwargs"] is not None
-                             else _cfg_dict(web_cfg))
+                             else asdict(web_cfg))
         self._synthetic_fetch = (
             self.fetch_module == "spidey_ray.sources.synthetic_web")
 
@@ -423,26 +463,7 @@ class CrawlEngine:
         self._fetched_frames: list[pd.DataFrame] = []
 
         rd = round_dirs[-1] if round_dirs else None
-        self.gate, self.blacklist = GateState(), BlacklistState()
-        self.longest: list[tuple[int, str]] = []
-        self.fetch_seq = self.start_round = 0
-        if rd:
-            self.start_round = int(os.path.basename(rd).split("=")[1]) + 1
-            with open(os.path.join(rd, "gate.json")) as f:
-                g = json.load(f)
-            self.gate = GateState(
-                previouspage=g["previouspage"],
-                unique_url_count=g["unique_url_count"],
-                query_dict={k: [(int(v[0][0]), int(v[0][1])), int(v[1])]
-                            for k, v in g["query_dict"].items()},
-            )
-            self.fetch_seq = g["fetch_seq"]
-            self.longest = [tuple(x) for x in g["longest"]]
-            with open(os.path.join(rd, "blacklist.json")) as f:
-                b = json.load(f)
-            self.blacklist = BlacklistState(
-                permanent=dict(b["permanent"]), temp=set(b["temp"]))
-
+        self._restore(rd)
         # the crawl state is two actor pools; the driver holds O(round)
         # rows, never the frontier or the crawled history.  URL shard i
         # holds seen shard i and footprint shard i; host partition i holds
@@ -459,6 +480,29 @@ class CrawlEngine:
             o["frontier_mem_rows_per_host"], rd)
         self.frontier = ShardedFrontier(self.host_shards)
         self._await_actors()
+
+    def _restore(self, rd: str | None) -> None:
+        """The driver's own crawl state: fresh, or from round dir ``rd``."""
+        self.gate, self.blacklist = GateState(), BlacklistState()
+        self.longest: list[tuple[int, str]] = []
+        self.fetch_seq = self.start_round = 0
+        if not rd:
+            return
+        self.start_round = int(os.path.basename(rd).split("=")[1]) + 1
+        with open(os.path.join(rd, "gate.json")) as f:
+            g = json.load(f)
+        self.gate = GateState(
+            previouspage=g["previouspage"],
+            unique_url_count=g["unique_url_count"],
+            query_dict={k: [(int(v[0][0]), int(v[0][1])), int(v[1])]
+                        for k, v in g["query_dict"].items()},
+        )
+        self.fetch_seq = g["fetch_seq"]
+        self.longest = [tuple(x) for x in g["longest"]]
+        with open(os.path.join(rd, "blacklist.json")) as f:
+            b = json.load(f)
+        self.blacklist = BlacklistState(
+            permanent=dict(b["permanent"]), temp=set(b["temp"]))
 
     # ------------------------------------------------------------------
     def _await_actors(self) -> None:
@@ -477,37 +521,16 @@ class CrawlEngine:
         return urltools.is_valid(u, self._pattern)
 
     def _seed(self):
-        additions = [(u, 0, "") for u in self.web_cfg.seeds()]
-        self._add_rows(additions, round_k=0)
-
-    def _add_rows(self, additions: list[tuple[str, int, str]], round_k: int) -> int:
-        """Canonically ordered (url, depth, parent) additions → first-seen-wins
-        via the cuckoo shards → pending frontier rows."""
-        if not additions:
-            return 0
-        prepared, keys = [], []
-        for url, depth, parent in additions:
-            url = urltools.normalize(url)
-            h = urltools.url_hash(url)
-            prepared.append((url, h, depth, parent))
-            keys.append(key64(h))
-        seen_mask = self.seen.seen_or_add(np.array(keys, dtype=np.uint64))
-        rows = []
-        for (url, h, depth, parent), was_seen in zip(prepared, seen_mask):
-            if was_seen:
-                continue
-            rows.append(
-                dict(url=url, url_hash=h, host=urltools.url_host(url),
-                     depth=depth, parent_url=parent, round_added=round_k)
-            )
-        if rows:
-            self.frontier.add_df(pd.DataFrame(rows))
-        return len(rows)
+        urls = [urltools.normalize(u) for u in self.web_cfg.seeds()]
+        self._add_rows_df(pd.DataFrame({
+            "url": urls, "url_hash": [urltools.url_hash(u) for u in urls],
+            "host": [urltools.url_host(u) for u in urls], "depth": 0,
+            "parent_url": ""}), round_k=0)
 
     def _add_rows_df(self, add_df: pd.DataFrame, round_k: int) -> int:
-        """Vectorized bulk-additions path: ``add_df`` arrives canonically
-        ordered and hash-deduplicated with columns
-        (url, url_hash, host, depth, parent_url)."""
+        """Canonically ordered additions with columns (url, url_hash, host,
+        depth, parent_url) → first-seen-wins via the URL shards (also
+        within ``add_df``) → pending frontier rows for ``round_k``."""
         if not len(add_df):
             return 0
         keys = np.frombuffer(
@@ -542,10 +565,10 @@ class CrawlEngine:
         round_k = self.start_round
         try:
             while round_k < limit and self.frontier.total():
-                self._run_round(round_k)
+                rnd = self._run_round(round_k)
                 if self.ckpt_dir:
                     t0 = _time.perf_counter()
-                    self._checkpoint(round_k)
+                    self._checkpoint(rnd)
                     self._t("checkpoint", t0)
                 round_k = self.start_round = round_k + 1
                 if stop_after_round is not None and round_k > stop_after_round:
@@ -569,162 +592,185 @@ class CrawlEngine:
         self.timings[phase] = self.timings.get(phase, 0.0) + (now - t0)
         return now
 
-    def _run_round(self, round_k: int) -> None:
+    def _run_round(self, round_k: int) -> _Round:
+        """One round as a sequence of timed phases (the module docstring
+        lists them); returns the round's record for ``_checkpoint``."""
         import time as _time
 
-        settings = self.settings
-        self._round_fetched = None      # guards the checkpoint delta when a
-        self._round_excluded_docs = []  # round admits nothing
-        self._round_token_partial = pd.DataFrame(
-            {"token": pd.Series(dtype=object), "n": pd.Series(dtype="int64")})
         t = _time.perf_counter()
+        rnd, admitted = self._admit(round_k)
+        t = self._t("admit", t)
+        admitted = self._number_fetches(rnd, admitted)
+        if admitted.empty:
+            return rnd
+        fp_refs = self._prefetch_footprints(admitted)
+        inline = len(admitted) <= self.inline_threshold
+        blocks = self._fetch_parse(rnd, admitted, inline)
+        if not inline:
+            t = self._t("fetch_parse_exec", t)
+        # zero-copy block gather; only needed columns become pandas below
+        ctbl = pa.concat_tables(blocks)
+        t = self._t("fetch_parse", t)
+        rec_df, tokenized, passed = self._gates(rnd, ctbl, fp_refs)
+        t = self._t("gates", t)
+        self._token_counts(rnd, ctbl, tokenized, passed)
+        t = self._t("token_counts", t)
+        cand_rows = self._link_check(rnd, ctbl, rec_df)
+        t = self._t("link_check", t)
+        # gate-phase counts must land before link-phase robots creation.  No
+        # barrier: per-partition actor order serializes them before the
+        # filter_links calls below; the refs drain at the checkpoint (or
+        # result) purely to surface errors
+        self._fp_put_refs.extend(self.frontier.count_urls(rnd.host_count_inc))
+        if len(cand_rows):
+            add_df = self._robots(cand_rows)
+            t = self._t("robots", t)
+            rnd.rows_out = self._add_rows_df(add_df, round_k + 1)
+            t = self._t("additions", t)
+        self._boundary(rnd)
+        self._t("boundary", t)
+        return rnd
 
-        # ---- 1. politeness admission ----
-        # each host partition admits from its own pending rows through its
-        # own politeness clocks; only the admitted window (O(round)) and a
-        # per-shard 3-field telemetry dict reach the driver — never the
-        # O(#hosts) count map.
+    def _admit(self, round_k: int) -> tuple[_Round, pd.DataFrame]:
+        """Politeness admission: each host partition admits from its own
+        pending rows through its own politeness clocks; only the admitted
+        window (O(round)) and a per-shard 3-field telemetry dict reach the
+        driver — never the O(#hosts) count map.  Returns the round's record
+        and the admitted rows in canonical (depth, url) order."""
         admitted, shard_stats = self.frontier.admit_with(round_k)
-        self._round_rows_in = sum(s["rows_in"] for s in shard_stats)
         # skew telemetry: per-shard pending rows + the round's hottest host
         # (north_rule "salted splits for hot domains": the round stage's
         # uniform driver-side slicing already spreads a hot host's admitted
         # rows across all blocks — this records the skew so lineage shows
         # it). Each host lives in exactly one shard, so the global hot host
         # is the max over per-shard hot hosts — exact, not approximate.
-        self._rows_in_per_shard = [int(s["rows_in"]) for s in shard_stats]
-        self._hot_host, self._hot_host_rows = ("", 0)
         hot = [(s["hot_rows"], s["hot_host"]) for s in shard_stats
                if s["hot_rows"]]
-        if hot:
-            n, h = max(hot)
-            self._hot_host, self._hot_host_rows = h, int(n)
+        n, h = max(hot) if hot else (0, "")
+        rnd = _Round(round_k, [int(s["rows_in"]) for s in shard_stats],
+                     h, int(n))
         admitted = admitted.sort_values(
             ["depth", "url"], kind="mergesort").reset_index(drop=True)
-        t = self._t("admit", t)
-        if admitted.empty:
-            return
+        return rnd, admitted
 
-        # footprint prefetch, submitted at ADMISSION time: the near-dup
-        # gates only ever look up the round's PARENT urls + the carried
-        # previous-page url, and the rec rows mirror the admitted rows
-        # 1:1 (same parent_url column) — so the keys are known BEFORE the
-        # fetch wave and the KV round-trip overlaps it entirely instead
-        # of sitting on the serial gate path.  Nothing writes footprints
-        # between here and the gates (the round stage doesn't touch
-        # them), and actor order serializes these reads behind last
-        # round's puts — semantics identical to fetching at gate time.
+    def _number_fetches(self, rnd: _Round,
+                        admitted: pd.DataFrame) -> pd.DataFrame:
+        """Assign the canonical ``seq`` within the round and the global
+        fetch order: ``rnd.fetched`` becomes the round's fetch-log delta
+        (driver memory is O(round): the frontier stays sharded, history
+        goes to disk).  Returns ``admitted`` with its ``seq`` column."""
+        admitted = admitted.assign(seq=np.arange(len(admitted), dtype=np.int64))
+        rnd.fetched = admitted.drop(columns=["round_added"]).assign(
+            round_fetched=rnd.k,
+            fetch_seq=self.fetch_seq + admitted["seq"].values,
+        ).drop(columns=["seq"]).reset_index(drop=True)
+        if not self.ckpt_dir and len(admitted):
+            # no checkpoint log to read back later: keep in memory (test runs)
+            self._fetched_frames.append(rnd.fetched)
+        self.fetch_seq += len(admitted)
+        return admitted
+
+    def _prefetch_footprints(self, admitted: pd.DataFrame) -> list:
+        """Submit the gates' footprint reads at ADMISSION time: the near-dup
+        gates only ever look up the round's PARENT urls + the carried
+        previous-page url, and the rec rows mirror the admitted rows 1:1
+        (same parent_url column) — so the keys are known BEFORE the fetch
+        wave and the KV round-trip overlaps it entirely instead of sitting
+        on the serial gate path.  Nothing writes footprints between here
+        and the gates (the round stage doesn't touch them), and actor order
+        serializes these reads behind last round's puts — semantics
+        identical to fetching at gate time."""
         fp_keys = set(admitted["parent_url"]) - {""}
         if self.gate.previouspage:
             fp_keys.add(self.gate.previouspage)
-        fp_refs = (self.footprints.get_many_refs(sorted(fp_keys))
-                   if fp_keys else [])
+        return (self.footprints.get_many_refs(sorted(fp_keys))
+                if fp_keys else [])
 
-        # assign canonical seq + global fetch order (driver memory is
-        # O(round): the frontier stays sharded, history goes to disk)
-        admitted = admitted.assign(seq=np.arange(len(admitted), dtype=np.int64))
-        fetched = admitted.drop(columns=["round_added"]).assign(
-            round_fetched=round_k,
-            fetch_seq=self.fetch_seq + admitted["seq"].values,
-        ).drop(columns=["seq"]).reset_index(drop=True)
-        self._round_fetched = fetched
-        if not self.ckpt_dir:
-            # no checkpoint log to read back later: keep in memory (test runs)
-            self._fetched_frames.append(fetched)
-        self.fetch_seq += len(admitted)
-
-        # ---- 2-4. ONE fused streaming execution per round ----
-        # fetch + parse + token partials + document side-writes + outlink
-        # checks (stages/round_stage.py); tiny rounds run the same function
-        # inline on the driver.
+    def _fetch_parse(self, rnd: _Round, admitted: pd.DataFrame,
+                     inline: bool) -> list[pa.Table]:
+        """ONE fused execution per round: fetch + parse + token partials +
+        document side-writes + outlink checks (stages/round_stage.py), as
+        raw tasks, or ``inline`` on the driver for tiny rounds.  Returns
+        the output blocks."""
         in_tbl = pa.table({
             "seq": admitted["seq"].values,
             "url": admitted["url"].astype(str).values,
             "depth": admitted["depth"].values.astype("int32"),
             "parent_url": admitted["parent_url"].astype(str).values,
         })
-        base_seq = self.fetch_seq - len(admitted)
-        doc_dir = (
-            os.path.join(self.ckpt_dir, "documents", f"round={round_k:05d}")
-            if self.ckpt_dir else None
-        )
         stage_kwargs = dict(
-            web_cfg=_cfg_dict(self.web_cfg),
+            web_cfg=asdict(self.web_cfg),
             blacklist_patterns=self.blacklist.patterns(),
-            settings=settings,
-            doc_dir=doc_dir,
-            base_seq=base_seq,
+            settings=self.settings,
+            doc_dir=(os.path.join(self.ckpt_dir, "documents",
+                                  f"round={rnd.k:05d}")
+                     if self.ckpt_dir else None),
+            base_seq=self.fetch_seq - len(admitted),
             host_rules=dict(self._host_rules),
             fetch_spec=(None if self._synthetic_fetch else
                         (self.fetch_module, self.fetch_name,
                          self.fetch_kwargs)),
             blacklist_version=self._blacklist_version,
         )
-        inline = len(admitted) <= self.inline_threshold
-        self._stage_blocks, self._stage_max_block = 1, len(admitted)
         if inline:
-            ctbl = round_process_batch(in_tbl, **stage_kwargs)
-        else:
-            # 6× the slot count: fine-grained blocks keep the final wave's
-            # straggler tail short (the round barrier makes tails expensive)
-            # floor of 64 so low-parallelism runs still get fine-grained
-            # blocks (coarse blocks → long straggler tails at the barrier)
-            n_blocks = max(1, min(max(self.fetch_concurrency * 4, 64),
-                                  len(admitted) // self.fetch_batch_size + 1))
-            # pre-slice driver-side: Repartition is an all-to-all barrier with
-            # seconds of fixed cost; slicing an in-memory Arrow table is free
-            step = (len(in_tbl) + n_blocks - 1) // n_blocks
-            slices = [in_tbl.slice(i, step) for i in range(0, len(in_tbl), step)]
-            self._stage_blocks, self._stage_max_block = len(slices), step
-            # RAW TASKS, deliberately (the one non-Dataset hot stage in the
-            # engine): a crawl round is a BOUNDED SYNCHRONOUS barrier map —
-            # the block set is fixed up front and the round cannot proceed
-            # until every block returns, so none of the Dataset streaming
-            # executor's machinery (backpressure, pipelining, spill) can
-            # engage; it only adds measured ~0.27 s fixed startup/teardown
-            # PER ROUND (vs ~0.03 s for plain tasks on the identical
-            # 64-block map), a pure scaling-efficiency tax at high
-            # parallelism.  Every corpus-shaped pipeline in this repo
-            # remains Dataset-first; the shared kwargs ship once per round
-            # via ray.put and tasks run on the same worker pool (the
-            # per-worker compile caches keyed by blacklist_version still
-            # hit).
-            kwargs_ref = ray.put(stage_kwargs)
-            task = _round_stage_task
-            if not self._synthetic_fetch:
-                # a real fetch is non-idempotent (politeness budgets,
-                # no-retry semantics, scraper.py:413-417)
-                task = task.options(max_retries=0)
-            refs = [task.remote(s, kwargs_ref) for s in slices]
-            blocks = ray.get(refs)
-            t = self._t("fetch_parse_exec", t)
-            # zero-copy block gather; only needed columns become pandas below
-            ctbl = pa.concat_tables(blocks)
-        t = self._t("fetch_parse", t)
+            rnd.stage_blocks, rnd.stage_max_block = 1, len(admitted)
+            return [round_process_batch(in_tbl, **stage_kwargs)]
+        # 6× the slot count: fine-grained blocks keep the final wave's
+        # straggler tail short (the round barrier makes tails expensive)
+        # floor of 64 so low-parallelism runs still get fine-grained
+        # blocks (coarse blocks → long straggler tails at the barrier)
+        n_blocks = max(1, min(max(self.fetch_concurrency * 4, 64),
+                              len(admitted) // self.fetch_batch_size + 1))
+        # pre-slice driver-side: Repartition is an all-to-all barrier with
+        # seconds of fixed cost; slicing an in-memory Arrow table is free
+        step = (len(in_tbl) + n_blocks - 1) // n_blocks
+        slices = [in_tbl.slice(i, step) for i in range(0, len(in_tbl), step)]
+        rnd.stage_blocks, rnd.stage_max_block = len(slices), step
+        # RAW TASKS, deliberately (the one non-Dataset hot stage in the
+        # engine): a crawl round is a BOUNDED SYNCHRONOUS barrier map —
+        # the block set is fixed up front and the round cannot proceed
+        # until every block returns, so none of the Dataset streaming
+        # executor's machinery (backpressure, pipelining, spill) can
+        # engage; it only adds measured ~0.27 s fixed startup/teardown
+        # PER ROUND (vs ~0.03 s for plain tasks on the identical
+        # 64-block map), a pure scaling-efficiency tax at high
+        # parallelism.  Every corpus-shaped pipeline in this repo
+        # remains Dataset-first; the shared kwargs ship once per round
+        # via ray.put and tasks run on the same worker pool (the
+        # per-worker compile caches keyed by blacklist_version still
+        # hit).
+        kwargs_ref = ray.put(stage_kwargs)
+        task = _round_stage_task
+        if not self._synthetic_fetch:
+            # a real fetch is non-idempotent (politeness budgets,
+            # no-retry semantics, scraper.py:413-417)
+            task = task.options(max_retries=0)
+        return ray.get([task.remote(s, kwargs_ref) for s in slices])
 
-        # ---- 3. sequential gates over compact records ----
-        kinds = ctbl["kind"]
+    def _gates(self, rnd: _Round, ctbl: pa.Table,
+               fp_refs: list) -> tuple[pd.DataFrame, set[str], set[str]]:
+        """The sequential gates over the round's compact records in
+        canonical order.  Fills ``rnd.new_patterns``,
+        ``rnd.host_count_inc`` and ``rnd.content_bytes``; returns the
+        records, the tokenized urls and the passed urls."""
         rec_df = (
-            ctbl.filter(pc.equal(kinds, "rec"))
+            ctbl.filter(pc.equal(ctbl["kind"], "rec"))
             .select(["seq", "url", "final_url", "status", "host", "depth",
                      "parent_url", "empty", "tag_count", "is_sitemap",
                      "n_tokens", "simhash", "title", "content_len"])
             .to_pandas()
             .sort_values("seq", kind="mergesort")
         )
+        rnd.content_bytes = int(rec_df["content_len"].sum())
         # collect the footprint prefetch submitted at admission time (the
         # refs have been in flight for the whole fetch wave); gate against
         # a round-local dict, write the new footprints back after the
         # loop.  Driver footprint memory is O(round).
         prefetched = self.footprints.collect_many(fp_refs)
         self.gate.page_footprints = dict(prefetched)
-
         is_blacklisted = self.blacklist.matcher()
-        new_patterns: list[NewPattern] = []
-        expand_urls: set[str] = set()
-        passed_urls: set[str] = set()
-        tokenized_urls: set[str] = set()
-        host_count_inc: dict[str, int] = {}
+        tokenized: set[str] = set()
+        passed: set[str] = set()
         for row in rec_df.itertuples(index=False):
             rec = crawl_logic.PageRecord(
                 url=row.url, final_url=row.final_url, status=int(row.status),
@@ -734,17 +780,16 @@ class CrawlEngine:
                 simhash=int(row.simhash), title=row.title,
             )
             d = crawl_logic.apply_gates(
-                rec, self.gate, is_blacklisted, self._is_valid, settings)
-            new_patterns.extend(d.new_patterns)
+                rec, self.gate, is_blacklisted, self._is_valid, self.settings)
+            rnd.new_patterns.extend(d.new_patterns)
             if d.tokenized:
-                tokenized_urls.add(rec.url)
+                tokenized.add(rec.url)
                 _update_longest(self.longest, rec.n_tokens, rec.url)
             if d.passed:
-                passed_urls.add(rec.url)
-            if d.expand_links:
-                expand_urls.add(rec.url)
+                passed.add(rec.url)
             if d.count_host is not None:
-                host_count_inc[d.count_host] = host_count_inc.get(d.count_host, 0) + 1
+                rnd.host_count_inc[d.count_host] = (
+                    rnd.host_count_inc.get(d.count_host, 0) + 1)
         new_fp = {u: v for u, v in self.gate.page_footprints.items()
                   if u not in prefetched}
         if new_fp:
@@ -752,173 +797,127 @@ class CrawlEngine:
             # at the next sync point only to surface shard errors
             self._fp_put_refs.extend(self.footprints.put_many(new_fp))
         self.gate.page_footprints = {}
-        t = self._t("gates", t)
+        return rec_df, tokenized, passed
 
-        # ---- token-count partials (A3): packed block rows, merged at end ----
-        tok_tbl = ctbl.filter(pc.equal(kinds, "tok"))
-        if tok_tbl.num_rows:
-            # Arrow list flatten: zero-copy unpack of the packed block rows
-            tokens_flat = pc.list_flatten(tok_tbl["tok_tokens"].combine_chunks())
-            counts_flat = pc.list_flatten(tok_tbl["tok_counts"].combine_chunks())
-            partial = pd.DataFrame({
-                "token": tokens_flat.to_pandas(),
-                "n": counts_flat.to_pandas().astype("int64"),
-            })
-        else:
-            partial = pd.DataFrame({"token": pd.Series(dtype=object),
-                                    "n": pd.Series(dtype="int64")})
-        self._round_token_partial = partial
-        if self._token_part_refs is not None and len(partial):
-            # metadata-free Arrow into the object store: the pandas schema
-            # metadata is unhashable on pyarrow 16 and would flood
-            # top_tokens' downstream shuffle with schema-hash warnings
-            self._token_part_refs.append(ray.put(
-                pa.Table.from_pandas(partial, preserve_index=False)
-                .replace_schema_metadata(None)))
+    def _token_counts(self, rnd: _Round, ctbl: pa.Table,
+                      tokenized: set[str], passed: set[str]) -> None:
+        """The round's token-count partial (A3) from the packed block rows,
+        merged at result time, and its documents exclusions: the stage
+        wrote the gate-passed SUPERSET; gate-suppressed pages are recorded
+        per round and filtered at read time (the all-rounds union is
+        assembled lazily from the ckpt logs, never on the driver)."""
+        tok = ctbl.filter(pc.equal(ctbl["kind"], "tok"))
+        # Arrow list flatten: zero-copy unpack of the packed block rows
+        rnd.token_partial = pa.table({
+            "token": pc.list_flatten(tok["tok_tokens"].combine_chunks()),
+            "n": pc.list_flatten(tok["tok_counts"].combine_chunks()),
+        })
+        if self._token_part_refs is not None and rnd.token_partial.num_rows:
+            self._token_part_refs.append(ray.put(rnd.token_partial))
+        rnd.excluded_docs = sorted(tokenized - passed)
 
-        # ---- documents exclusions: the stage wrote the gate-passed SUPERSET;
-        # gate-suppressed pages are recorded per round and filtered at read
-        # time (the all-rounds union is assembled lazily from the ckpt logs,
-        # never accumulated on the driver) ----
-        excluded = sorted(u for u in tokenized_urls if u not in passed_urls)
-        self._round_excluded_docs = excluded
-        t = self._t("token_counts", t)
-
-        # ---- 4. candidate outlinks, minus gate-suppressed pages ----
+    def _link_check(self, rnd: _Round, ctbl: pa.Table,
+                    rec_df: pd.DataFrame) -> pd.DataFrame:
+        """The round's candidate outlinks minus those of gate-suppressed
+        pages, in (seq, link_idx) order; trap links append cancelling
+        patterns to ``rnd.new_patterns``."""
         cand_tbl = (
-            ctbl.filter(pc.is_in(kinds, value_set=pa.array(["cand", "trap"])))
+            ctbl.filter(pc.is_in(ctbl["kind"],
+                                 value_set=pa.array(["cand", "trap"])))
             .select(["kind", "seq", "link_idx", "sorted_url", "orig_link",
                      "norm_url", "url_hash", "host", "depth", "parent_url",
                      "pattern", "reason", "temporary"])
             .to_pandas()
         )
-        if excluded:
+        if rnd.excluded_docs:
             seq_of_url = dict(zip(rec_df.url, rec_df.seq))
-            suppressed_seqs = {seq_of_url[u] for u in excluded}
+            suppressed_seqs = {seq_of_url[u] for u in rnd.excluded_docs}
             cand_tbl = cand_tbl[~cand_tbl.seq.isin(suppressed_seqs)]
         cand_tbl = cand_tbl.sort_values(["seq", "link_idx"], kind="mergesort")
         for row in cand_tbl[cand_tbl.kind == "trap"].itertuples(index=False):
-            new_patterns.append(
+            rnd.new_patterns.append(
                 NewPattern(row.pattern, row.reason, bool(row.temporary), cancel=True))
-        cand_rows = cand_tbl[cand_tbl.kind == "cand"]
-        t = self._t("link_check", t)
+        return cand_tbl[cand_tbl.kind == "cand"]
 
-        # ---- 5. robots gate through host shards (canonical order) ----
-        # gate-phase counts must land before link-phase robots creation
-        count_refs = []
-        shard_counts: list[dict[str, int]] = [dict() for _ in range(self.n_host_shards)]
-        for host, n in host_count_inc.items():
-            shard_counts[host_shard_of(host, self.n_host_shards)][host] = n
-        for shard, counts in zip(self.host_shards, shard_counts):
-            if counts:
-                count_refs.append(shard.count_urls.remote(counts))
-        # no barrier: per-shard actor order serializes these before the
-        # filter_links tasks submitted below; refs drain at the checkpoint
-        # (or result) purely to surface errors
-        self._fp_put_refs.extend(count_refs)
-
-        n_additions = 0
-        if len(cand_rows):
-            cand_rows = cand_rows.sort_values(
-                ["sorted_url", "orig_link", "parent_url"], kind="mergesort")
-            # links to known hosts bypass the shard RPC: rule-free hosts are
-            # constant-allow; rule-bearing known hosts were evaluated inside
-            # the round stage (their rules shipped as round-start state)
-            known = self._host_allow_all | set(self._host_rules)
-            bypass_mask = cand_rows["host"].isin(known).to_numpy()
-            bypass = cand_rows[bypass_mask]
-            to_check = cand_rows[~bypass_mask]
-            links_by_shard: list[dict[str, list[tuple[str, str]]]] = [
-                dict() for _ in range(self.n_host_shards)
-            ]
-            depth_of_host: dict[str, int] = {}
-            for host, g in to_check.groupby("host", sort=False):
-                links_by_shard[host_shard_of(host, self.n_host_shards)][host] = \
-                    list(zip(g["sorted_url"], g["orig_link"]))
-                depth_of_host[host] = int(g["depth"].iloc[0])
-            bl_patterns = self.blacklist.patterns()
-            refs = [
-                shard.filter_links.remote(lbs, bl_patterns)
-                for shard, lbs in zip(self.host_shards, links_by_shard)
-                if lbs
-            ]
-            results: dict[str, dict] = {}
-            for out in ray.get(refs):
-                results.update(out)
-            # robots-approved candidates: one global boolean mask instead
-            # of a frame slice + concat per host (each per-host mask lands
-            # at its group's positional indices, which preserve the
-            # canonical within-group order the shards received)
-            keep_mask = np.zeros(len(to_check), dtype=bool)
-            sm_rows: list[tuple[str, int]] = []
-            for host, idx in to_check.groupby(
-                    "host", sort=False).indices.items():
-                r = results[host]
-                keep_mask[idx] = np.asarray(r["mask"], dtype=bool)
-                for u in r["unchecked"] + r["checked"]:
-                    sm_rows.append((u, depth_of_host[host]))
-                if r["allow_all"]:
-                    self._host_allow_all.add(host)
-                elif r.get("robots_txt"):
-                    self._host_rules[host] = r["robots_txt"]
-            self._trim_host_caches()
-            # row order differs from the old per-host concat, which is
-            # immaterial: add_df is canonically re-sorted before the
-            # first-seen-wins dedup below
-            cand_ok = pd.concat([bypass, to_check[keep_mask]])
-            add_df = pd.DataFrame({
-                "raw_url": cand_ok["sorted_url"].values,
-                "parent_url": cand_ok["parent_url"].values,
-                "url": cand_ok["norm_url"].values,
-                "url_hash": cand_ok["url_hash"].values,
-                "host": cand_ok["host"].values,
-                "depth": cand_ok["depth"].values.astype("int64"),
+    def _robots(self, cand_rows: pd.DataFrame) -> pd.DataFrame:
+        """The robots gate through the host partitions, in canonical order.
+        Returns the robots-approved candidates plus the sitemap urls found,
+        canonically sorted and first-seen-deduplicated by url hash."""
+        cand_rows = cand_rows.sort_values(
+            ["sorted_url", "orig_link", "parent_url"], kind="mergesort")
+        # links to known hosts bypass the shard RPC: rule-free hosts are
+        # constant-allow; rule-bearing known hosts were evaluated inside
+        # the round stage (their rules shipped as round-start state)
+        known = self._host_allow_all | set(self._host_rules)
+        bypass_mask = cand_rows["host"].isin(known).to_numpy()
+        bypass = cand_rows[bypass_mask]
+        to_check = cand_rows[~bypass_mask]
+        groups = to_check.groupby("host", sort=False).indices
+        sorted_urls = to_check["sorted_url"].to_numpy()
+        orig_links = to_check["orig_link"].to_numpy()
+        depths = to_check["depth"].to_numpy()
+        results = self.frontier.filter_links(
+            {host: list(zip(sorted_urls[idx], orig_links[idx]))
+             for host, idx in groups.items()},
+            self.blacklist.patterns())
+        # robots-approved candidates: one global boolean mask instead
+        # of a frame slice + concat per host (each per-host mask lands
+        # at its group's positional indices, which preserve the
+        # canonical within-group order the shards received)
+        keep_mask = np.zeros(len(to_check), dtype=bool)
+        sm_rows: list[tuple[str, int]] = []
+        for host, idx in groups.items():
+            r = results[host]
+            keep_mask[idx] = np.asarray(r["mask"], dtype=bool)
+            depth = int(depths[idx[0]])
+            sm_rows.extend((u, depth) for u in r["unchecked"] + r["checked"])
+            if r["allow_all"]:
+                self._host_allow_all.add(host)
+            elif r.get("robots_txt"):
+                self._host_rules[host] = r["robots_txt"]
+        self._trim_host_caches()
+        # row order differs from a per-host concat, which is immaterial:
+        # add_df is canonically re-sorted before the first-seen-wins dedup
+        cand_ok = pd.concat([bypass, to_check[keep_mask]])
+        add_df = pd.DataFrame({
+            "raw_url": cand_ok["sorted_url"].values,
+            "parent_url": cand_ok["parent_url"].values,
+            "url": cand_ok["norm_url"].values,
+            "url_hash": cand_ok["url_hash"].values,
+            "host": cand_ok["host"].values,
+            "depth": cand_ok["depth"].values.astype("int64"),
+        })
+        if sm_rows:
+            sm = pd.DataFrame({
+                "raw_url": [u for u, _ in sm_rows],
+                "parent_url": ["" for _ in sm_rows],
+                "url": [urltools.normalize(u) for u, _ in sm_rows],
+                "depth": [d for _, d in sm_rows],
             })
-            if sm_rows:
-                sm = pd.DataFrame({
-                    "raw_url": [u for u, _ in sm_rows],
-                    "parent_url": ["" for _ in sm_rows],
-                    "url": [urltools.normalize(u) for u, _ in sm_rows],
-                    "depth": [d for _, d in sm_rows],
-                })
-                sm["url_hash"] = sm["url"].map(urltools.url_hash)
-                sm["host"] = sm["url"].map(urltools.url_host)
-                add_df = pd.concat([add_df, sm[add_df.columns]], ignore_index=True)
-            # ---- 6. frontier additions, first-seen-wins in canonical order
-            add_df = add_df.sort_values(["raw_url", "parent_url"], kind="mergesort")
-            add_df = add_df.drop_duplicates("url_hash", keep="first")
-            t = self._t("robots", t)
-            n_additions = self._add_rows_df(add_df, round_k + 1)
-            t = self._t("additions", t)
+            sm["url_hash"] = sm["url"].map(urltools.url_hash)
+            sm["host"] = sm["url"].map(urltools.url_host)
+            add_df = pd.concat([add_df, sm[add_df.columns]], ignore_index=True)
+        add_df = add_df.sort_values(["raw_url", "parent_url"], kind="mergesort")
+        return add_df.drop_duplicates("url_hash", keep="first")
 
-        # ---- 7. round boundary: blacklist growth + cancel (frontier.py:80-92)
-        self._round_lineage = dict(
-            round=round_k, rows_in=self._round_rows_in,
-            urls_fetched=len(admitted),
-            rows_out=n_additions,
-            bytes=int(rec_df["content_len"].sum()),
-            rows_in_per_shard=json.dumps(self._rows_in_per_shard),
-            hot_host=self._hot_host,
-            hot_host_rows=self._hot_host_rows,
-            stage_blocks=self._stage_blocks,
-            stage_max_block=self._stage_max_block,
-        )
+    def _boundary(self, rnd: _Round) -> None:
+        """Round boundary (frontier.py:80-92): the round's new blacklist
+        patterns take effect, and cancelling ones drop matching pending
+        rows shard-side and delete them from the seen set, so they can be
+        re-added (frontier.py:85-88)."""
         cancel_patterns = []
-        for p in new_patterns:
+        for p in rnd.new_patterns:
             self.blacklist.add(p.pattern, p.reason, p.temporary)
             if p.cancel:
                 cancel_patterns.append(p.pattern)
-        if new_patterns:
+        if rnd.new_patterns:
             self._blacklist_version = (self._blacklist_version[0],
                                        self._blacklist_version[1] + 1)
         if cancel_patterns:
-            # shard-side regex cancel; the reference deletes cancelled URLs
-            # from the shelve so they can be re-added (frontier.py:85-88)
             cancelled = self.frontier.cancel(cancel_patterns)
             if cancelled:
                 self.seen.delete(np.array(
                     [key64(h) for h in cancelled], dtype=np.uint64))
-        self._t("boundary", t)
 
     # robots bypass caches are pure OPTIMIZATION state (the host shards are
     # authoritative): bound them so hosts don't grow driver memory without
@@ -936,8 +935,8 @@ class CrawlEngine:
             self._host_rules.pop(next(iter(self._host_rules)))
 
     # ------------------------------------------------------------------
-    def _checkpoint(self, round_k: int) -> None:
-        """Round checkpoint: every actor-side snapshot task (host
+    def _checkpoint(self, rnd: _Round) -> None:
+        """Round ``rnd``'s checkpoint: every actor-side snapshot task (host
         partitions, seen and footprint halves of the URL shards) is
         SUBMITTED first, then the driver's own file writes run concurrently
         with them and ONE ``ray.get`` barrier lands everything before
@@ -955,7 +954,7 @@ class CrawlEngine:
         than the overlap saved (BASELINE.md round-5 notes).
         """
         fp_refs, self._fp_put_refs = self._fp_put_refs, []
-        rd = os.path.join(self.ckpt_dir, f"round={round_k:05d}")
+        rd = os.path.join(self.ckpt_dir, f"round={rnd.k:05d}")
         os.makedirs(rd, exist_ok=True)
         # sharded state checkpoints itself: each host partition and URL
         # shard writes its own blobs under the round dir — the blobs
@@ -963,19 +962,24 @@ class CrawlEngine:
         # KV pools write DELTAS (bytes ∝ the round, not the corpus), with a
         # periodic full blob bounding the restore chain; the frontier
         # checkpoint hard-links its immutable spill files (O(mem + #files))
-        full = (round_k % self.ckpt_compact_every == 0)
+        full = (rnd.k % self.ckpt_compact_every == 0)
         shard_refs = (
             self.frontier.checkpoint_refs(rd)
             + self.footprints.checkpoint_refs(rd, full=full)
             + self.seen.checkpoint_refs(rd, full=full)
         )
-        fetched = getattr(self, "_round_fetched", None)
-        if fetched is None:
-            fetched = _empty_pending().assign(
-                round_fetched=pd.Series(dtype="int64"),
-                fetch_seq=pd.Series(dtype="int64"),
-            ).drop(columns=["round_added"])
-        gate_json = json.dumps({
+
+        def write_json(name: str, obj) -> None:
+            # json.dumps, not json.dump: only the one-shot form runs the C
+            # encoder
+            with open(os.path.join(rd, name), "w") as f:
+                f.write(json.dumps(obj))
+
+        fd = rnd.fetched.copy()
+        fd["url_hash"] = fd["url_hash"].map(bytes)
+        pq.write_table(pa.Table.from_pandas(fd, preserve_index=False),
+                       os.path.join(rd, "fetched_delta.parquet"))
+        write_json("gate.json", {
             "previouspage": self.gate.previouspage,
             "unique_url_count": self.gate.unique_url_count,
             "query_dict": {
@@ -984,41 +988,17 @@ class CrawlEngine:
             "fetch_seq": self.fetch_seq,
             "longest": self.longest,
         })
-        blacklist_json = json.dumps({
+        write_json("blacklist.json", {
             "permanent": dict(self.blacklist.permanent),
             "temp": sorted(self.blacklist.temp)})
-        excluded_json = json.dumps(self._round_excluded_docs)
-        engine_json = json.dumps({"layout": CHECKPOINT_LAYOUT,
-                                  "options": self.options,
-                                  "settings": asdict(self.settings)})
-        token_delta = self._round_token_partial       # replaced per round,
-        lin = getattr(self, "_round_lineage", None)   # never mutated
-
-        fd = fetched.copy()
-        fd["url_hash"] = fd["url_hash"].map(bytes)
-        pq.write_table(pa.Table.from_pandas(fd, preserve_index=False),
-                       os.path.join(rd, "fetched_delta.parquet"))
-        with open(os.path.join(rd, "gate.json"), "w") as f:
-            f.write(gate_json)
-        with open(os.path.join(rd, "blacklist.json"), "w") as f:
-            f.write(blacklist_json)
-        pq.write_table(
-            pa.table({"token": pa.array(
-                          token_delta["token"].astype(str).tolist()
-                          if len(token_delta) else [],
-                          type=pa.string()),
-                      "n": pa.array([int(x) for x in token_delta["n"]]
-                                    if len(token_delta) else [],
-                                    type=pa.int64())}),
-            os.path.join(rd, "token_partials.parquet"),
-        )
-        with open(os.path.join(rd, "excluded_docs.json"), "w") as f:
-            f.write(excluded_json)
-        with open(os.path.join(rd, "engine.json"), "w") as f:
-            f.write(engine_json)
-        if lin:
-            pq.write_table(pa.table({k: [v] for k, v in lin.items()}),
-                           os.path.join(rd, "lineage.parquet"))
+        pq.write_table(rnd.token_partial,
+                       os.path.join(rd, "token_partials.parquet"))
+        write_json("excluded_docs.json", rnd.excluded_docs)
+        write_json("engine.json", {"layout": CHECKPOINT_LAYOUT,
+                                   "options": self.options,
+                                   "settings": asdict(self.settings)})
+        pq.write_table(pa.table({k: [v] for k, v in rnd.lineage().items()}),
+                       os.path.join(rd, "lineage.parquet"))
         if fp_refs:   # surface any failed async footprint writes
             ray.get(fp_refs)
         ray.get(shard_refs)
@@ -1103,10 +1083,6 @@ def _update_longest(longest: list[tuple[int, str]], n: int, url: str) -> None:
     longest.append((n, url))
     longest.sort(key=lambda x: (-x[0], x[1]))
     del longest[10:]
-
-
-def _cfg_dict(cfg: sw.WebConfig) -> dict:
-    return asdict(cfg)
 
 
 def _complete_rounds(ckpt_dir: str) -> list[str]:

@@ -36,6 +36,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from .. import io  # noqa: F401  (the engine's DataContext settings)
+
 _HASH_KEY = "spidey-join-0000"  # 16 bytes, fixed: deterministic across workers
 
 

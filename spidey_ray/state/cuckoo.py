@@ -375,10 +375,7 @@ class ScalableCuckoo:
     @classmethod
     def restore(cls, blob: dict) -> "ScalableCuckoo":
         self = cls.__new__(cls)
-        if "segments" in blob:
-            self.segments = [CuckooFilter.restore(b) for b in blob["segments"]]
-        else:  # pre-growth full blob: a single flat table
-            self.segments = [CuckooFilter.restore(blob)]
+        self.segments = [CuckooFilter.restore(b) for b in blob["segments"]]
         return self
 
 

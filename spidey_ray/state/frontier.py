@@ -414,6 +414,31 @@ class ShardedFrontier:
         self.shards = shards
         self.n_shards = len(shards)
 
+    def _by_shard(self, by_host: dict) -> list[dict]:
+        """Split a ``{host: value}`` map by the partition of each host."""
+        parts: list[dict] = [{} for _ in self.shards]
+        for host, v in by_host.items():
+            parts[host_shard_of(host, self.n_shards)][host] = v
+        return parts
+
+    def count_urls(self, counts: dict[str, int]) -> list:
+        """Submit each partition's share of the per-host url counts and
+        return the refs unwaited: actor task order applies them before any
+        later call to the same partition."""
+        return [s.count_urls.remote(part)
+                for s, part in zip(self.shards, self._by_shard(counts))
+                if part]
+
+    def filter_links(self, links_by_host: dict[str, list[tuple[str, str]]],
+                     blacklist_patterns: list[str]) -> dict[str, dict]:
+        """Robots-gate each host's links in its own partition (see
+        ``HostShard.filter_links``); returns all per-host results."""
+        outs = ray.get([
+            s.filter_links.remote(part, blacklist_patterns)
+            for s, part in zip(self.shards, self._by_shard(links_by_host))
+            if part])
+        return {host: r for out in outs for host, r in out.items()}
+
     def add_df(self, df: pd.DataFrame) -> None:
         if not len(df):
             return
