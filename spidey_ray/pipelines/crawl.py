@@ -37,21 +37,22 @@ partials, documents, exclusions and lineage go to Parquet/JSON under
 resumability).
 
 Scale posture (10^10-frontier): driver memory is O(round).  The crawl
-state lives in two actor pools, ``n_seen_shards + n_host_shards`` actors in
-all.  Host-partition actors (state/frontier.HostPartition, hash-partitioned
-by host) each hold one shard of the pending frontier and the politeness
-state of the same hosts, so admission runs inside one actor and only the
-round's admitted window crosses the driver.  URL-shard actors
-(state/cuckoo.UrlShard, partitioned by the seen key) each hold one cuckoo
-seen shard and the gate footprints of the same URLs; the driver
-batch-prefetches exactly the round's parent + previous-page footprints
-(parents are always fetched in earlier rounds, so the needed keys are known
-before the gate loop).  The crawled history lives only in the per-round
-fetched/documents logs on disk (retained in driver memory solely for
-checkpoint-less test runs).  Every actor checkpoints its own blobs —
-nothing corpus-sized round-trips through the driver — and each round
-records the checkpoint layout version and the engine's options, which
-``resume`` checks and reuses.  Blacklist growth is round-synchronized
+state lives in one actor per partition index (state/partition.py),
+``max(n_seen_shards, n_host_shards)`` actors in all.  Partition ``i``
+holds host partition ``i`` (state/frontier.HostPartition, hash-partitioned
+by host) when ``i < n_host_shards``: one shard of the pending frontier and
+the politeness state of the same hosts, so admission runs inside one actor
+and only the round's admitted window crosses the driver.  It holds URL
+shard ``i`` (state/cuckoo.UrlShard, partitioned by the seen key) when
+``i < n_seen_shards``: one cuckoo seen shard and the gate footprints of
+the same URLs; the driver batch-prefetches exactly the round's parent +
+previous-page footprints (parents are always fetched in earlier rounds, so
+the needed keys are known before the gate loop).  The crawled history
+lives only in the per-round fetched/documents logs on disk (retained in
+driver memory solely for checkpoint-less test runs).  Every actor
+checkpoints its own blobs — nothing corpus-sized round-trips through the
+driver — and each round records the checkpoint layout version and the
+engine's options, which ``resume`` checks and reuses.  Blacklist growth is round-synchronized
 (SURVEY.md §7.5.3).  Tiny rounds run the same stage function inline on the
 driver — no per-execution overhead, identical semantics.
 """
@@ -73,9 +74,9 @@ import ray.data
 from .. import io  # noqa: F401  (the engine's DataContext settings)
 from ..functions import urltools
 from ..sources import synthetic_web as sw
-from ..state.cuckoo import (ShardedFootprints, ShardedSeen, key64,
-                            start_url_shards)
-from ..state.frontier import ShardedFrontier, start_host_partitions
+from ..state.cuckoo import ShardedFootprints, ShardedSeen, key64
+from ..state.frontier import ShardedFrontier
+from ..state.partition import start_partitions
 from ..state.politeness import CrawlSettings
 from ..stages.round_stage import round_process_batch
 from . import crawl_logic
@@ -92,9 +93,10 @@ def _round_stage_task(tbl: pa.Table, kwargs: dict) -> pa.Table:
 PENDING_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
 
 # Version of the checkpoint's file layout, written to every round's
-# engine.json.  Version 2 routes footprints by the seen key; resume refuses
-# any other version, whose state would restore into the wrong shards.
-CHECKPOINT_LAYOUT = 2
+# engine.json.  Version 2 routes footprints by the seen key; version 3
+# writes them as numpy pickles instead of Parquet.  Resume refuses any other
+# version, whose state would restore into the wrong shards or not at all.
+CHECKPOINT_LAYOUT = 3
 
 # CrawlEngine's options and their defaults.  Every round's engine.json
 # records the values the engine ran with, and ``resume`` starts from them.
@@ -349,9 +351,13 @@ class EngineResult:
             return agg.sort_values(["n", "token"], ascending=[False, True],
                                    kind="mergesort").head(k)
 
+        # the bucket map is materialized before the exchange: in one plan
+        # Ray 2.49 reserves a CPU for each operator, which leaves the map
+        # side one task at a time (pipelines/filter_index.py)
         top = (
             src
             .map_batches(bucket, batch_format="pyarrow")
+            .materialize()
             .groupby("_b")
             .map_groups(per_bucket, batch_format="pandas")
             .to_pandas()        # ≤ 256·k rows
@@ -462,24 +468,27 @@ class CrawlEngine:
         # fetched_delta parquet on disk IS the log (read back at result time)
         self._fetched_frames: list[pd.DataFrame] = []
 
-        rd = round_dirs[-1] if round_dirs else None
-        self._restore(rd)
-        # the crawl state is two actor pools; the driver holds O(round)
-        # rows, never the frontier or the crawled history.  URL shard i
-        # holds seen shard i and footprint shard i; host partition i holds
-        # frontier shard i and politeness shard i (same host_shard_of
-        # route), so admission never leaves the partition.
-        url_shards = start_url_shards(self.n_seen_shards, o["seen_buckets"],
-                                      round_dirs)
-        self.seen = ShardedSeen(url_shards)
-        self.footprints = ShardedFootprints(url_shards)
-        self.host_shards = start_host_partitions(
-            self.n_host_shards, self.settings,
-            (self.fetch_module, self.fetch_name, self.fetch_kwargs),
-            os.path.join(ckpt_dir, ".frontier_spill") if ckpt_dir else None,
-            o["frontier_mem_rows_per_host"], rd)
+        self._restore(round_dirs[-1] if round_dirs else None)
+        # the crawl state is one actor per partition index; the driver
+        # holds O(round) rows, never the frontier or the crawled history.
+        # Partition i holds URL shard i (seen and footprint shard i) and
+        # host partition i (frontier and politeness shard i, same
+        # host_shard_of route, so admission never leaves the partition).
+        parts = start_partitions(
+            self.n_seen_shards, self.n_host_shards,
+            dict(n_buckets=o["seen_buckets"]),
+            dict(settings=self.settings,
+                 fetch_spec=(self.fetch_module, self.fetch_name,
+                             self.fetch_kwargs),
+                 spill_dir=(os.path.join(ckpt_dir, ".frontier_spill")
+                            if ckpt_dir else None),
+                 mem_rows_per_host=o["frontier_mem_rows_per_host"]),
+            round_dirs)
+        self.seen = ShardedSeen(parts[:self.n_seen_shards])
+        self.footprints = ShardedFootprints(parts[:self.n_seen_shards])
+        self.host_shards = parts[:self.n_host_shards]
         self.frontier = ShardedFrontier(self.host_shards)
-        self._await_actors()
+        self._await_actors(parts)
 
     def _restore(self, rd: str | None) -> None:
         """The driver's own crawl state: fresh, or from round dir ``rd``."""
@@ -505,7 +514,7 @@ class CrawlEngine:
             permanent=dict(b["permanent"]), temp=set(b["temp"]))
 
     # ------------------------------------------------------------------
-    def _await_actors(self) -> None:
+    def _await_actors(self, actors: list) -> None:
         """Block until every state actor answers one ping (all gathered in
         one ``ray.get``), so actor start-up is paid here and timed as
         ``timings["engine_init"]`` instead of landing, unattributed, in the
@@ -513,8 +522,7 @@ class CrawlEngine:
         import time as _time
 
         t0 = _time.perf_counter()
-        ray.get([a.__ray_ready__.remote()
-                 for a in self.seen.shards + self.frontier.shards])
+        ray.get([a.__ray_ready__.remote() for a in actors])
         self._t("engine_init", t0)
 
     def _is_valid(self, u: str) -> bool:

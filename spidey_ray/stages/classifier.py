@@ -161,11 +161,15 @@ def nb_classify(ds: "ray.data.Dataset", labels: list[str],
                 "pred_label": pa.array([], type=pa.string()),
                 "score_micro": pa.array([], type=pa.int64()),
             })
-        # Σ_grams W[c, bucket(gram)] per doc, every class at once: gather
-        # the (k, G) weight stream and segment-sum it — int64 reduceat,
-        # order-independent, identical to the per-doc matvec
+        # Σ_grams W[c, bucket(gram)] per doc, one class at a time: gather
+        # the class's G-long weight stream and segment-sum it (no (k, G)
+        # transient) — int64 reduceat, order-independent, identical to the
+        # per-doc matvec
         starts = np.concatenate(([0], np.cumsum(lens[kept])[:-1]))
-        s = np.add.reduceat(w[:, buckets], starts, axis=1) + pri[:, None]
+        s = np.empty((len(w), len(starts)), dtype=np.int64)
+        for c in range(len(w)):
+            np.add.reduceat(w[c, buckets], starts, out=s[c])
+        s += pri[:, None]
         best = np.argmax(s, axis=0)          # first max = sorted-label tie-break
         return pa.table({
             id_col: pa.array(ids[kept], type=pa.int64()),

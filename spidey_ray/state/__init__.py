@@ -1,2 +1,2 @@
-"""Stateful components: robots rules, cuckoo-filter URL-seen shards,
-per-host politeness scheduling (SURVEY.md §2.3)."""
+"""Stateful components: robots rules, cuckoo-filter URL-seen shards and
+per-host politeness, held by one actor per partition (SURVEY.md §2.3)."""

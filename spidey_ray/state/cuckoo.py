@@ -13,16 +13,17 @@ an approximate-membership structure that scales to a 10^10-URL frontier:
   load with NO fixed capacity, supports delete — needed because the
   reference's ``cancel_urls`` removes blacklisted pending URLs from the
   seen set so they can be re-added later (frontier.py:80-92),
-- one ``UrlShard`` actor per shard holds seen shard ``i`` and footprint
-  shard ``i`` (the url → (simhash, n_tokens) KV behind the crawl-time
-  near-dup gates).  Both route by the seen key, ``key64(url_hash(url)) %
-  n_shards``, so shard count (not per-shard memory) scales with frontier
-  size and a URL's seen key and footprint share a shard,
-- the ``ShardedSeen`` and ``ShardedFootprints`` driver facades share the
-  pool's handles; batched calls keep the actor round-trips per crawl round
-  at O(n_shards), not O(n_urls).  The gate loop only needs the footprints
-  of the round's PARENT urls plus the carried previous-page url — all
-  known before the loop — so driver footprint memory is O(round),
+- ``UrlShard`` ``i``, held by state partition ``i`` (state/partition.py),
+  holds seen shard ``i`` and footprint shard ``i`` (the url → (simhash,
+  n_tokens) KV behind the crawl-time near-dup gates).  Both route by the
+  seen key, ``key64(url_hash(url)) % n_shards``, so shard count (not
+  per-shard memory) scales with frontier size.  URL state is numpy and
+  pickle only: it never loads pyarrow or pandas,
+- the ``ShardedSeen`` and ``ShardedFootprints`` driver facades batch their
+  calls: O(n_shards) actor round-trips per crawl round, not O(n_urls).
+  The gates only need the footprints of the round's PARENT urls and the
+  previous-page url, all known before the loop: driver footprint memory
+  is O(round),
 - each shard checkpoints its own delta blobs under the round dir and
   restores from the chain of complete rounds (north_rule resumability).
 
@@ -37,14 +38,29 @@ import os
 import pickle
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from ..functions import urltools
 
 _EMPTY = np.uint16(0)
 _MAX_KICKS = 500
+
+
+def _first_seen(flt, keys: np.ndarray) -> np.ndarray:
+    """For each uint64 key: True if filter ``flt`` holds it, else False and
+    ``flt._insert_new`` adds it.  First-seen-wins holds inside one batch:
+    duplicate keys after the first occurrence report True (np.unique keeps
+    the first index), and only first occurrences are inserted."""
+    keys = np.asarray(keys).astype(np.uint64, copy=False)
+    out = flt.contains(keys)
+    miss = np.nonzero(~out)[0]
+    if miss.size:
+        _, first = np.unique(keys[miss], return_index=True)
+        dup = np.ones(len(miss), dtype=bool)
+        dup[first] = False
+        out[miss[dup]] = True
+        flt._insert_new(keys[miss[~dup]])
+    return out
 
 
 class CuckooFilter:
@@ -88,9 +104,6 @@ class CuckooFilter:
         return (i1.astype(np.uint64) ^ h).astype(np.int64)
 
     # -- scalar ops -------------------------------------------------------
-    def _contains_one(self, i1: int, i2: int, fp: int) -> bool:
-        return bool((self.table[i1] == fp).any() or (self.table[i2] == fp).any())
-
     def _insert_one(self, i1: int, i2: int, fp: int) -> bool:
         for idx in (i1, i2):
             row = self.table[idx]
@@ -182,27 +195,14 @@ class CuckooFilter:
         return ok
 
     def seen_or_add(self, keys: np.ndarray) -> np.ndarray:
-        """For each uint64 key: True if already present, else add and False.
-        First-seen-wins holds inside one batch: duplicate keys after the
-        first occurrence report True (np.unique keeps the first index)."""
-        keys = keys.astype(np.uint64, copy=False)
-        fp = self._fingerprint(keys)
-        i1 = self._index1(keys)
-        i2 = self._index2(i1, fp)
-        out = self._contains_vec(i1, i2, fp)
-        miss = np.nonzero(~out)[0]
-        if not miss.size:
-            return out
-        # within-batch dedup: only the first occurrence of a key inserts
-        _, first = np.unique(keys[miss], return_index=True)
-        dup = np.ones(len(miss), dtype=bool)
-        dup[first] = False
-        out[miss[dup]] = True
-        if not self.insert_absent(keys[miss[~dup]]).all():
+        """:func:`_first_seen` on this filter; raises when it is full."""
+        return _first_seen(self, keys)
+
+    def _insert_new(self, keys: np.ndarray) -> None:
+        if not self.insert_absent(keys).all():
             raise RuntimeError(
                 f"cuckoo filter over capacity "
                 f"({self.count}/{self.n_buckets * self.slots})")
-        return out
 
     def contains(self, keys: np.ndarray) -> np.ndarray:
         keys = keys.astype(np.uint64, copy=False)
@@ -292,36 +292,18 @@ class ScalableCuckoo:
     def count(self) -> int:
         return sum(s.count for s in self.segments)
 
-    @property
-    def capacity(self) -> int:
-        return sum(s.n_buckets * s.slots for s in self.segments)
-
     def _grow(self) -> None:
         last = self.segments[-1]
         self.segments.append(CuckooFilter(last.n_buckets * 2, last.slots))
 
     def seen_or_add(self, keys: np.ndarray) -> np.ndarray:
-        """For each uint64 key: True if any segment has it, else add to the
-        active segment (growing first if it is at GROW_AT) and False.
+        """:func:`_first_seen` on the chain: a key absent from every segment
+        goes to the active one (growing first if it is at GROW_AT).
+        Membership is one vectorized probe per segment (the dominant cost
+        in crawl steady state, where most outlinks are duplicates)."""
+        return _first_seen(self, keys)
 
-        Membership is one vectorized probe per segment (the dominant cost in
-        crawl steady state, where most outlinks are duplicates); only the
-        unique first occurrences of genuinely-new keys take the scalar
-        insert path."""
-        keys = np.asarray(keys).astype(np.uint64, copy=False)
-        out = self.contains(keys)
-        miss = np.nonzero(~out)[0]
-        if not miss.size:
-            return out
-        # within-batch dedup: only the first occurrence of a key inserts
-        _, first = np.unique(keys[miss], return_index=True)
-        dup = np.ones(len(miss), dtype=bool)
-        dup[first] = False
-        out[miss[dup]] = True
-        self._insert_batch(keys[miss[~dup]])
-        return out
-
-    def _insert_batch(self, ikeys: np.ndarray) -> None:
+    def _insert_new(self, ikeys: np.ndarray) -> None:
         """Insert distinct keys known to be absent, growing segments as
         needed. Each chunk is bounded by the active segment's GROW_AT
         headroom, inserted via the vectorized scatter, and kick-exhausted
@@ -390,13 +372,17 @@ def url_shard_of(url: str, n_shards: int) -> int:
     return key64(urltools.url_hash(url)) % n_shards
 
 
-def _chain(round_dirs: list[str], name: str) -> list[str]:
-    """One shard's restore chain over ORDERED complete round dirs: the
-    newest full blob plus every delta after it (``name`` has a ``{}`` for
-    ``full``/``delta``)."""
+# A URL shard's checkpoint files: ``kind`` is "full" or "delta".
+SEEN_FILE = "seen_{kind}_shard{i}.pkl"
+FOOTPRINTS_FILE = "footprints_{kind}_shard{i}.pkl"
+
+
+def _chain(round_dirs: list[str], name: str, i: int) -> list[str]:
+    """Shard ``i``'s restore chain of file ``name`` over ORDERED complete
+    round dirs: the newest full blob plus every delta after it."""
     chain: list[str] = []
     for rd in round_dirs:
-        full, delta = (os.path.join(rd, name.format(k))
+        full, delta = (os.path.join(rd, name.format(kind=k, i=i))
                        for k in ("full", "delta"))
         if os.path.exists(full):
             chain = [full]
@@ -405,39 +391,34 @@ def _chain(round_dirs: list[str], name: str) -> list[str]:
     return chain
 
 
-def _footprints_table(items: dict[str, tuple[int, int]]) -> pa.Table:
-    return pa.table({
-        "url": pa.array(list(items.keys()), type=pa.string()),
-        "simhash": pa.array([np.uint64(v[0]) for v in items.values()],
-                            type=pa.uint64()),
-        "n_tokens": pa.array([v[1] for v in items.values()],
-                             type=pa.int64()),
-    })
+def _load(path: str) -> dict:
+    with open(path, "rb") as f:
+        return pickle.load(f)
 
 
-@ray.remote(num_cpus=0.01)
 class UrlShard:
     """URL shard ``i``: seen shard ``i`` (a ``ScalableCuckoo``) and
     footprint shard ``i`` (the url → (simhash, n_tokens) KV behind the
-    near-dup gates) in one actor process.  Both route by the seen key
-    (:func:`url_shard_of`), so a URL's seen key and its footprint live in
-    the same shard.
+    near-dup gates), held by state partition ``i``.  Both route by the
+    seen key (:func:`url_shard_of`), so a URL's seen key and its footprint
+    live in the same shard.  ``round_dirs`` are the ordered complete rounds
+    of a checkpoint to restore from.
 
-    Both halves checkpoint DELTAS, with a periodic full blob so the restore
-    chain stays short (round-2 verdict: full rewrites per round were
-    O(corpus) write amplification × rounds).  The seen delta is the ordered
-    op log of keys added and deleted since the last checkpoint; replaying
-    it re-inserts the same fingerprints, so membership answers after
-    restore are identical even though eviction placement may differ.  The
-    footprint delta is the keys put since the last checkpoint (a url is
-    fetched once, so footprints are append-only)."""
+    Both halves checkpoint DELTAS as numpy pickles, with a periodic full
+    blob so the restore chain stays short (round-2 verdict: full rewrites
+    per round were O(corpus) write amplification × rounds).  The seen delta
+    is the ordered op log of keys added and deleted since the last
+    checkpoint; replaying it re-inserts the same fingerprints, so
+    membership answers after restore are identical even though eviction
+    placement may differ.  The footprint delta is the keys put since the
+    last checkpoint (a url is fetched once, so footprints are
+    append-only)."""
 
-    def __init__(self, n_buckets: int = 1 << 14, seen_chain: list[str] = (),
-                 footprint_chain: list[str] = ()):
+    def __init__(self, i: int, round_dirs: list[str] = (),
+                 n_buckets: int = 1 << 14):
+        self.i = i
         self.filter = None
-        for p in seen_chain:
-            with open(p, "rb") as f:
-                b = pickle.load(f)
+        for b in map(_load, _chain(round_dirs, SEEN_FILE, i)):
             if "segments" in b:             # full blob
                 self.filter = ScalableCuckoo.restore(b)
                 continue
@@ -458,11 +439,19 @@ class UrlShard:
         self._delta_ops: list[tuple[bool, list[np.ndarray]]] = []
         self.footprints: dict[str, tuple[int, int]] = {}
         self._fp_delta: dict[str, tuple[int, int]] = {}
-        for p in footprint_chain:
-            t = pq.read_table(p)
-            for u, s, n in zip(t["url"].to_pylist(), t["simhash"].to_pylist(),
-                               t["n_tokens"].to_pylist()):
-                self.footprints[u] = (int(s), int(n))
+        for b in map(_load, _chain(round_dirs, FOOTPRINTS_FILE, i)):
+            self.footprints.update(zip(b["url"], zip(
+                b["simhash"].tolist(), b["n_tokens"].tolist())))
+
+    def _write(self, round_dir: str, name: str, full: bool,
+               blob: dict) -> None:
+        """Write ``blob`` as this shard's file ``name`` under
+        ``round_dir`` — the driver never sees the state itself."""
+        path = os.path.join(round_dir, name.format(
+            kind="full" if full else "delta", i=self.i))
+        with open(path + ".tmp", "wb") as f:
+            pickle.dump(blob, f)
+        os.replace(path + ".tmp", path)
 
     # -- seen -------------------------------------------------------------
     def _log_op(self, is_add: bool, arr: np.ndarray) -> None:
@@ -490,23 +479,14 @@ class UrlShard:
     def count(self) -> int:
         return self.filter.count
 
-    def checkpoint_seen(self, path: str, full: bool = False) -> int:
-        """Write this shard's seen blob — the driver records the path only,
-        never the table."""
-        if full:
-            blob = self.filter.serialize()
-        else:
-            blob = {
-                "n_buckets": self.filter.n_buckets,
-                "slots": self.filter.slots,
-                "ops": [("a" if is_add else "d",
-                         np.concatenate(chunks).tobytes())
-                        for is_add, chunks in self._delta_ops],
-            }
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            pickle.dump(blob, f)
-        os.replace(tmp, path)
+    def checkpoint_seen(self, round_dir: str, full: bool = False) -> int:
+        blob = self.filter.serialize() if full else {
+            "n_buckets": self.filter.n_buckets,
+            "slots": self.filter.slots,
+            "ops": [("a" if is_add else "d", np.concatenate(chunks).tobytes())
+                    for is_add, chunks in self._delta_ops],
+        }
+        self._write(round_dir, SEEN_FILE, full, blob)
         self._delta_ops = []
         return self.filter.count
 
@@ -522,28 +502,21 @@ class UrlShard:
         self._fp_delta.update(items)
         return len(self.footprints)
 
-    def checkpoint_footprints(self, path: str, full: bool = False) -> int:
-        pq.write_table(_footprints_table(
-            self.footprints if full else self._fp_delta), path)
+    def checkpoint_footprints(self, round_dir: str, full: bool = False) -> int:
+        items = self.footprints if full else self._fp_delta
+        vals = list(items.values())
+        self._write(round_dir, FOOTPRINTS_FILE, full, {
+            "url": list(items),
+            "simhash": np.array([v[0] for v in vals], dtype=np.uint64),
+            "n_tokens": np.array([v[1] for v in vals], dtype=np.int64)})
         self._fp_delta = {}
         return len(self.footprints)
 
 
-def start_url_shards(n_shards: int, n_buckets: int,
-                     round_dirs: list[str] = ()) -> list:
-    """Start the URL-shard pool; with ``round_dirs`` (the ordered complete
-    rounds of a checkpoint) each shard restores its own seen and footprint
-    chains."""
-    return [UrlShard.remote(
-        n_buckets,
-        _chain(round_dirs, f"seen_{{}}_shard{i}.pkl"),
-        _chain(round_dirs, f"footprints_{{}}_shard{i}.parquet"))
-        for i in range(n_shards)]
-
-
 class ShardedSeen:
-    """Driver-side seen-set facade over the URL-shard pool. All calls are
-    batched: one RPC per shard per round-step regardless of URL count."""
+    """Driver-side seen-set facade over the partitions that hold URL
+    shards.  All calls are batched: one RPC per shard per round-step
+    regardless of URL count."""
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -569,26 +542,20 @@ class ShardedSeen:
     def seen_or_add(self, keys: np.ndarray) -> np.ndarray:
         return self._scatter_gather("seen_or_add", keys)
 
-    def contains(self, keys: np.ndarray) -> np.ndarray:
-        return self._scatter_gather("contains", keys)
-
     def delete(self, keys: np.ndarray) -> int:
         return self._scatter_gather("delete", keys)
 
     def checkpoint_refs(self, round_dir: str, full: bool = False) -> list:
         """Each shard writes its own delta (or periodic full) seen blob under
         ``round_dir``; only the refs return."""
-        kind = "full" if full else "delta"
-        return [s.checkpoint_seen.remote(
-                    os.path.join(round_dir, f"seen_{kind}_shard{i}.pkl"), full)
-                for i, s in enumerate(self.shards)]
+        return [s.checkpoint_seen.remote(round_dir, full) for s in self.shards]
 
     def count(self) -> int:
         return sum(ray.get([s.count.remote() for s in self.shards]))
 
 
 class ShardedFootprints:
-    """Batched (url → footprint) KV facade over the same URL-shard pool."""
+    """Batched (url → footprint) KV facade over the same partitions."""
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -635,7 +602,5 @@ class ShardedFootprints:
         return refs
 
     def checkpoint_refs(self, round_dir: str, full: bool = False) -> list:
-        kind = "full" if full else "delta"
-        return [s.checkpoint_footprints.remote(os.path.join(
-                    round_dir, f"footprints_{kind}_shard{i}.parquet"), full)
-                for i, s in enumerate(self.shards)]
+        return [s.checkpoint_footprints.remote(round_dir, full)
+                for s in self.shards]

@@ -1,13 +1,16 @@
 """Sharded pending frontier (north_rule scale posture: driver memory is
 O(round), never O(frontier) or O(crawled)).
 
-One ``HostPartition`` actor per hash-partition of HOSTS holds frontier shard
-``i`` (``FrontierShard``: the pending rows) and politeness shard ``i``
-(``politeness.HostShard``: per-host clocks and robots).  Both use the
-``host_shard_of`` route, so the frontier is explicitly hash-partitioned by
-host (north_star) and admission runs inside one actor: the shard's
-per-host candidate counts go straight to its own politeness clocks, and
-only the admitted prefix (O(round)) reaches the driver.  Each partition:
+``HostPartition`` ``i`` holds frontier shard ``i`` (``FrontierShard``: the
+pending rows) and politeness shard ``i`` (``politeness.HostShard``: per-host
+clocks and robots), and lives in state partition ``i``
+(state/partition.py).  Both use the ``host_shard_of`` route, so the
+frontier is explicitly hash-partitioned by host (north_star) and admission
+runs inside one actor: the shard's per-host candidate counts go straight to
+its own politeness clocks, and only the admitted prefix (O(round)) reaches
+the driver.  Rows cross the actor boundary as Arrow IPC stream bytes, never
+as pickled tables, which would load ``ray.data`` into the actor; pandas is
+the driver facade's alone.  Each partition:
 
 - keeps per-host row lists and serves politeness admission as "first k rows
   of the host in canonical (depth, url) order" — the same per-host prefix
@@ -21,28 +24,66 @@ only the admitted prefix (O(round)) reaches the driver.  Each partition:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import re
+import shutil
+import uuid
+from typing import TYPE_CHECKING
 
-import pandas as pd
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
 from .politeness import HostShard, host_shard_of
 
-_FRONTIER_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
+if TYPE_CHECKING:
+    import pandas as pd
+
+_FRONTIER = pa.schema([
+    ("url", pa.large_string()), ("url_hash", pa.large_binary()),
+    ("host", pa.large_string()), ("depth", pa.int64()),
+    ("parent_url", pa.large_string()), ("round_added", pa.int64())])
+
+
+def _column(vals: tuple, typ: pa.DataType) -> pa.Array:
+    """``vals`` as an Arrow array built from raw buffers: ``pa.array`` on
+    Python values loads pandas (pyarrow checks for pandas input), which a
+    host partition otherwise never needs."""
+    if typ == pa.int64():
+        buffers = [pa.py_buffer(np.array(vals, dtype=np.int64))]
+    else:                   # large_string/large_binary: int64 offsets, bytes
+        data = [v.encode() for v in vals] if typ == pa.large_string() else vals
+        offsets = np.zeros(len(data) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in data], out=offsets[1:])
+        buffers = [pa.py_buffer(offsets), pa.py_buffer(b"".join(data))]
+    return pa.Array.from_buffers(typ, len(vals), [None, *buffers])
 
 
 def _rows_table(rows: list[tuple]) -> pa.Table:
-    return pa.table({
-        "url": pa.array([r[0] for r in rows], type=pa.string()),
-        "url_hash": pa.array([r[1] for r in rows], type=pa.binary()),
-        "host": pa.array([r[2] for r in rows], type=pa.string()),
-        "depth": pa.array([r[3] for r in rows], type=pa.int64()),
-        "parent_url": pa.array([r[4] for r in rows], type=pa.string()),
-        "round_added": pa.array([r[5] for r in rows], type=pa.int64()),
-    })
+    cols = list(zip(*rows)) if rows else [()] * len(_FRONTIER)
+    return pa.Table.from_arrays(
+        [_column(c, f.type) for c, f in zip(cols, _FRONTIER)], schema=_FRONTIER)
+
+
+def _read(path: str) -> pa.Table:
+    # ParquetFile, not pq.read_table: the dataset reader loads pandas
+    return pq.ParquetFile(path).read()
+
+
+def to_ipc(t: pa.Table) -> bytes:
+    """``t`` as Arrow IPC stream bytes, the form frontier rows take
+    between the driver and a host partition."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as w:
+        w.write_table(t)
+    return sink.getvalue().to_pybytes()
+
+
+def from_ipc(buf: bytes) -> pa.Table:
+    return pa.ipc.open_stream(buf).read_all()
 
 
 def _row_key(r: tuple) -> tuple:
@@ -73,14 +114,12 @@ class FrontierShard:
         self.spill_min: dict[str, tuple] = {}
         self.n_spilled: dict[str, int] = {}
         self._spill_seq = 0
-        import uuid as _uuid
-
-        self._nonce = _uuid.uuid4().hex[:8]
+        self._nonce = uuid.uuid4().hex[:8]
         if spill_dir:
             os.makedirs(spill_dir, exist_ok=True)
         if blob_path and os.path.exists(blob_path):
             self._adopt_spill_manifest(blob_path)
-            self.add(pq.read_table(blob_path))
+            self.add(_read(blob_path))
 
     def _adopt_spill_manifest(self, blob_path: str) -> None:
         """Re-adopt a checkpoint's spilled rows WITHOUT reading them: link
@@ -88,22 +127,18 @@ class FrontierShard:
         manifest carries per-host counts and min keys, so no file is
         opened).  Without a spill_dir the files are simply read into
         memory."""
-        import json as _json
-        import shutil as _shutil
-
         mpath = blob_path + ".spill.json"
         if not os.path.exists(mpath):
             return
         with open(mpath) as f:
-            manifest = _json.load(f)
+            manifest = json.load(f)
         link_dir = blob_path + ".spill"
-        max_seq = -1
         for host, ent in manifest.items():
             paths = []
             for name in ent["files"]:
                 src = os.path.join(link_dir, name)
                 if self.spill_dir is None:
-                    self.add(pq.read_table(src))
+                    self.add(_read(src))
                     continue
                 # unique adopted name: never collides with this shard's own
                 # future spill writes (which must NOT truncate a file an
@@ -113,20 +148,14 @@ class FrontierShard:
                     try:
                         os.link(src, ln)
                     except OSError:
-                        _shutil.copy2(src, ln)
+                        shutil.copy2(src, ln)
                 paths.append(ln)
-                try:
-                    max_seq = max(max_seq,
-                                  int(name.rsplit("-", 1)[1].split(".")[0]))
-                except (IndexError, ValueError):
-                    pass
             if self.spill_dir is None:
                 continue
             self.spill_files[host] = paths
             self.n_spilled[host] = int(ent["n"])
             self.spill_min[host] = (int(ent["min"][0]), ent["min"][1])
             self.n += int(ent["n"])     # adopted rows bypass add()
-        self._spill_seq = max_seq + 1
 
     # -- spill machinery --------------------------------------------------
     def _maybe_spill(self, host: str) -> None:
@@ -137,9 +166,7 @@ class FrontierShard:
         keep = self.cap // 2
         tail = rows[keep:]
         del rows[keep:]
-        import hashlib as _hl
-
-        tag = _hl.sha1(host.encode()).hexdigest()[:12]
+        tag = hashlib.sha1(host.encode()).hexdigest()[:12]
         # the nonce guarantees a resumed shard can never reuse (and thereby
         # truncate) a spill filename whose inode an earlier generation's
         # checkpoint still hard-links
@@ -159,8 +186,7 @@ class FrontierShard:
             return
         rows = self.by_host.setdefault(host, [])
         for f in files:
-            t = pq.read_table(f)
-            rows.extend(self._table_rows(t))
+            rows.extend(self._table_rows(_read(f)))
             os.unlink(f)
         self.spill_min.pop(host, None)
         self.n_spilled.pop(host, None)
@@ -177,30 +203,20 @@ class FrontierShard:
 
     # -- API --------------------------------------------------------------
     def add(self, t: pa.Table) -> int:
-        urls = t["url"].to_pylist()
-        hashes = t["url_hash"].to_pylist()
-        hosts = t["host"].to_pylist()
-        depths = t["depth"].to_pylist()
-        parents = t["parent_url"].to_pylist()
-        rounds = t["round_added"].to_pylist()
         touched = set()
-        for u, h, ho, d, p, r in zip(urls, hashes, hosts, depths, parents, rounds):
-            self.by_host.setdefault(ho, []).append((u, h, ho, int(d), p, int(r)))
-            touched.add(ho)
-        self.n += len(urls)
+        for r in self._table_rows(t):
+            self.by_host.setdefault(r[2], []).append(r)
+            touched.add(r[2])
+        self.n += t.num_rows
         for ho in touched:
             self._maybe_spill(ho)
         return self.n
 
     def host_counts(self) -> dict[str, int]:
-        out = {}
-        for h, rows in self.by_host.items():
-            n = len(rows) + self.n_spilled.get(h, 0)
-            if n:
-                out[h] = n
+        out = {h: len(rows) for h, rows in self.by_host.items() if rows}
         for h, ns in self.n_spilled.items():
-            if h not in out and ns:
-                out[h] = ns
+            if ns:
+                out[h] = out.get(h, 0) + ns
         return out
 
     def admit(self, n_admit: dict[str, int]) -> pa.Table:
@@ -245,11 +261,11 @@ class FrontierShard:
         """Drop rows whose url matches any pattern; return their hashes so
         the driver can delete them from the seen set (frontier.py:85-88).
 
-        Memory stays O(one spill file): each spilled file is filtered
-        through Arrow and rewritten under a FRESH name (never modified in
-        place — a checkpoint may still hard-link the old inode) instead of
-        compacting every spilled host into the heap at once, which would
-        transiently resident the entire pending frontier."""
+        Memory stays O(one spill file): each spilled file is filtered and
+        rewritten under a FRESH name (never modified in place — a
+        checkpoint may still hard-link the old inode) instead of compacting
+        every spilled host into the heap at once, which would transiently
+        resident the entire pending frontier."""
         rx = re.compile("|".join(f"(?:{p})" for p in patterns))
         removed: list[bytes] = []
         for host in list(self.by_host):
@@ -269,26 +285,21 @@ class FrontierShard:
             n_sp = 0
             smin: tuple | None = None
             for f in self.spill_files[host]:
-                t = pq.read_table(f)
-                urls = t["url"].to_pylist()
-                mask = [rx.match(u) is None for u in urls]
-                if not all(mask):
-                    removed.extend(
-                        h for u, h in zip(urls, t["url_hash"].to_pylist())
-                        if rx.match(u))
-                    t = t.filter(pa.array(mask))
+                rows = self._table_rows(_read(f))
+                keep = [r for r in rows if not rx.match(r[0])]
+                if len(keep) < len(rows):
+                    removed.extend(r[1] for r in rows if rx.match(r[0]))
                     os.unlink(f)
-                    if len(t) == 0:
+                    if not keep:
                         continue
                     f = os.path.join(
                         self.spill_dir,
                         f"cancel-{self._nonce}-{self._spill_seq:06d}.parquet")
                     self._spill_seq += 1
-                    pq.write_table(t, f)
+                    pq.write_table(_rows_table(keep), f)
                 newfiles.append(f)
-                n_sp += len(t)
-                fmin = min(zip((int(d) for d in t["depth"].to_pylist()),
-                               t["url"].to_pylist()))
+                n_sp += len(keep)
+                fmin = min(map(_row_key, keep))
                 smin = fmin if smin is None else min(smin, fmin)
             if newfiles:
                 self.spill_files[host] = newfiles
@@ -306,14 +317,15 @@ class FrontierShard:
     def count(self) -> int:
         return self.n
 
-    def dump(self) -> pa.Table:
-        """Full pending table (result-time / small runs: loads spill)."""
+    def dump(self) -> bytes:
+        """Full pending table as Arrow IPC bytes (result-time / small runs:
+        loads spill)."""
         tabs = [_rows_table([r for rows in self.by_host.values()
                              for r in rows])]
         for files in self.spill_files.values():
             for f in files:
-                tabs.append(pq.read_table(f))
-        return pa.concat_tables(tabs)
+                tabs.append(_read(f))
+        return to_ipc(pa.concat_tables(tabs))
 
     def checkpoint_pending(self, path: str) -> int:
         """Write mem rows to ``path`` and HARD-LINK the immutable spill
@@ -324,9 +336,6 @@ class FrontierShard:
         Spill files are never modified in place (compaction unlinks and new
         spills get fresh names), so a link IS a durable snapshot; cross-
         device setups fall back to a copy."""
-        import json as _json
-        import shutil as _shutil
-
         mem = _rows_table([r for rows in self.by_host.values() for r in rows])
         pq.write_table(mem, path)
         manifest: dict[str, dict] = {}
@@ -342,73 +351,62 @@ class FrontierShard:
                     try:
                         os.link(f, ln)
                     except OSError:
-                        _shutil.copy2(f, ln)
+                        shutil.copy2(f, ln)
                 names.append(os.path.basename(f))
             smin = self.spill_min[host]
             manifest[host] = {"files": names, "n": self.n_spilled[host],
                               "min": [smin[0], smin[1]]}
         with open(path + ".spill.json", "w") as f:
-            _json.dump(manifest, f)
+            json.dump(manifest, f)
         return self.n
 
 
-@ray.remote(num_cpus=0.01)
 class HostPartition(FrontierShard, HostShard):
     """Host partition ``i``: frontier shard ``i`` and politeness shard ``i``
-    in one actor process (both own the hosts ``host_shard_of`` routes to
-    ``i``).  ``fetch_spec`` is the (module, factory, kwargs) of the robots
-    fetcher."""
+    (both own the hosts ``host_shard_of`` routes to ``i``), held by state
+    partition ``i`` and restored from ``round_dir``, a complete round of a
+    checkpoint.  ``fetch_spec`` is the (module, factory, kwargs) of the
+    robots fetcher; ``spill_dir`` is the root of every partition's own
+    spill directory."""
 
-    def __init__(self, settings, fetch_spec: tuple,
-                 pending_path: str | None = None,
-                 hosts_path: str | None = None,
-                 spill_dir: str | None = None,
+    def __init__(self, i: int, round_dir: str | None, settings,
+                 fetch_spec: tuple, spill_dir: str | None = None,
                  mem_rows_per_host: int = 200_000):
-        FrontierShard.__init__(self, pending_path, spill_dir,
-                               mem_rows_per_host)
-        HostShard.__init__(self, settings, *fetch_spec,
-                           snapshot_path=hosts_path)
+        self.i = i
+        pending, hosts = self._paths(round_dir) if round_dir else (None, None)
+        FrontierShard.__init__(
+            self, pending, spill_dir and os.path.join(spill_dir, f"shard{i}"),
+            mem_rows_per_host)
+        HostShard.__init__(self, settings, *fetch_spec, snapshot_path=hosts)
 
-    def admit_with(self, round_k: int) -> tuple[pa.Table, dict]:
+    def _paths(self, round_dir: str) -> tuple[str, str]:
+        return (os.path.join(round_dir, f"pending_shard{self.i}.parquet"),
+                os.path.join(round_dir, f"host_shard{self.i}.json"))
+
+    def add_ipc(self, buf: bytes) -> int:
+        return self.add(from_ipc(buf))
+
+    def admit_with(self, round_k: int) -> tuple[bytes, dict]:
         """Full admission step for this partition: per-host pending counts
         go to this actor's own politeness clocks, and only the admitted
-        prefix (O(round)) plus a 3-field telemetry dict reach the driver —
-        never the O(#hosts) count map."""
+        prefix (O(round), as IPC bytes) plus a 3-field telemetry dict reach
+        the driver — never the O(#hosts) count map."""
         counts = self.host_counts()
-        stats = {"rows_in": int(sum(counts.values())),
-                 "hot_host": "", "hot_rows": 0}
-        if not counts:
-            return _rows_table([]), stats
-        hh = max(counts, key=lambda h: (counts[h], h))
-        stats["hot_host"], stats["hot_rows"] = hh, int(counts[hh])
-        return self.admit(self.grant(counts, round_k)), stats
+        hh = max(counts, key=lambda h: (counts[h], h), default="")
+        stats = {"rows_in": sum(counts.values()), "hot_host": hh,
+                 "hot_rows": counts.get(hh, 0)}
+        return to_ipc(self.admit(self.grant(counts, round_k))), stats
 
-    def checkpoint(self, pending_path: str, hosts_path: str) -> int:
-        self.checkpoint_hosts(hosts_path)
-        return self.checkpoint_pending(pending_path)
-
-
-def start_host_partitions(n_shards: int, settings, fetch_spec: tuple,
-                          spill_dir: str | None, mem_rows_per_host: int,
-                          round_dir: str | None = None) -> list:
-    """Start the host-partition pool; with ``round_dir`` (a complete round
-    of a checkpoint) each partition restores its own pending rows and host
-    states."""
-    return [HostPartition.remote(
-        settings, fetch_spec,
-        pending_path=(os.path.join(round_dir, f"pending_shard{i}.parquet")
-                      if round_dir else None),
-        hosts_path=(os.path.join(round_dir, f"host_shard{i}.json")
-                    if round_dir else None),
-        spill_dir=os.path.join(spill_dir, f"shard{i}") if spill_dir else None,
-        mem_rows_per_host=mem_rows_per_host)
-        for i in range(n_shards)]
+    def checkpoint(self, round_dir: str) -> int:
+        pending, hosts = self._paths(round_dir)
+        self.checkpoint_hosts(hosts)
+        return self.checkpoint_pending(pending)
 
 
 class ShardedFrontier:
-    """Driver facade over the host-partition pool. One RPC per shard per
-    step; only admitted/added rows (O(round)) ever cross the driver
-    boundary."""
+    """Driver facade over the partitions that hold host partitions.  One
+    RPC per shard per step; only admitted/added rows (O(round)) ever cross
+    the driver boundary."""
 
     def __init__(self, shards: list):
         self.shards = shards
@@ -450,35 +448,32 @@ class ShardedFrontier:
         for s in range(self.n_shards):
             part = df[shard_idx == s]
             if len(part):
-                refs.append(self.shards[s].add.remote(
-                    pa.Table.from_pandas(part[_FRONTIER_COLS],
-                                         preserve_index=False)))
+                refs.append(self.shards[s].add.remote(to_ipc(
+                    pa.Table.from_pandas(part[_FRONTIER.names],
+                                         preserve_index=False))))
         ray.get(refs)
 
     def admit_with(self, round_k: int) -> tuple[pd.DataFrame, list[dict]]:
         """Shard-parallel admission (see HostPartition.admit_with): returns
         (admitted rows, per-shard telemetry)."""
         parts = ray.get([s.admit_with.remote(round_k) for s in self.shards])
-        tabs = [t for t, _ in parts if len(t)] or [_rows_table([])]
-        return pa.concat_tables(tabs).to_pandas(), [st for _, st in parts]
+        return (pa.concat_tables([from_ipc(b) for b, _ in parts]).to_pandas(),
+                [st for _, st in parts])
 
     def cancel(self, patterns: list[str]) -> list[bytes]:
         outs = ray.get([s.cancel.remote(patterns) for s in self.shards])
         return [h for out in outs for h in out]
 
     def total(self) -> int:
-        return sum(ray.get([s.count.remote() for s in self.shards]))
+        return sum(ray.get([s.pending.remote() for s in self.shards]))
 
     def dump(self) -> pd.DataFrame:
         tabs = ray.get([s.dump.remote() for s in self.shards])
-        return pa.concat_tables(tabs).to_pandas()
+        return pa.concat_tables([from_ipc(b) for b in tabs]).to_pandas()
 
     def checkpoint_refs(self, round_dir: str) -> list:
         """Submit every partition's checkpoint task (pending rows and host
         states) and return the refs — the caller may wait later (actor task
         order already guarantees the snapshot precedes any subsequently
         submitted mutation)."""
-        return [s.checkpoint.remote(
-                    os.path.join(round_dir, f"pending_shard{i}.parquet"),
-                    os.path.join(round_dir, f"host_shard{i}.json"))
-                for i, s in enumerate(self.shards)]
+        return [s.checkpoint_frontier.remote(round_dir) for s in self.shards]

@@ -28,19 +28,23 @@ exactly what a wall-clock min-heap scheduler enforces on a real fetcher.
 
 ``HostShard`` holds the host states of one hash-partition of hosts (all
 traffic for one host goes through one shard, the correctness requirement of
-SURVEY.md §4).  It runs inside the ``frontier.HostPartition`` actor next to
-the same partition's pending rows, and every method is batched so actor
-round trips per crawl round stay O(n_shards).
+SURVEY.md §4).  It is the politeness half of ``frontier.HostPartition``,
+held by a state partition actor next to the same hosts' pending rows, and
+every method is batched so actor round trips per crawl round stay
+O(n_shards).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import importlib
+import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 from ..functions import urltools
-from ..functions.tokenize import crawl_tokenize  # noqa: F401  (re-export convenience)
 from .robots import RobotsRules
 
 
@@ -57,20 +61,6 @@ class CrawlSettings:
         import re
 
         return re.compile(self.netloc_regex)
-
-    @classmethod
-    def reference(cls, **overrides) -> "CrawlSettings":
-        """Settings matching the reference deployment: UCI domain allowlist,
-        0.5 s politeness, path-repeat threshold 3 (config.ini:10-13). Use
-        with the REFERENCE_SEEDS list and a real fetcher on a networked
-        cluster."""
-        base = dict(
-            politeness=0.5,
-            path_repeat_threshold=3,
-            netloc_regex=urltools.REFERENCE_NETLOC_PATTERN.pattern,
-        )
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass
@@ -201,10 +191,6 @@ class HostShard:
     def __init__(self, settings: CrawlSettings, fetch_factory_module: str,
                  fetch_factory_name: str, fetch_factory_arg: dict,
                  snapshot_path: str | None = None):
-        import importlib
-        import json
-        import os
-
         self.settings = settings
         mod = importlib.import_module(fetch_factory_module)
         self.fetch: FetchFn = getattr(mod, fetch_factory_name)(**fetch_factory_arg)
@@ -259,9 +245,7 @@ class HostShard:
                      if links_by_host[h]
                      and not self._get(h).robots_processed]
         robots_out: dict[str, tuple[list[str], list[str]]] = {}
-        if len(new_hosts) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
+        if new_hosts:
             with ThreadPoolExecutor(min(8, len(new_hosts))) as ex:
                 futs = {
                     h: ex.submit(
@@ -271,11 +255,6 @@ class HostShard:
                     for h in new_hosts
                 }
                 robots_out = {h: f.result() for h, f in futs.items()}
-        elif new_hosts:
-            h = new_hosts[0]
-            robots_out[h] = process_robots(
-                self._get(h), links_by_host[h][0][0], self.fetch,
-                self.settings, self.is_valid, allurlchecks)
 
         out = {}
         for host in sorted(links_by_host):
@@ -325,9 +304,6 @@ class HostShard:
         """Write this shard's own snapshot — the driver records the path
         only (the per-round host-state JSON is O(hosts) and must not
         round-trip the driver every round at 10^10-frontier host counts)."""
-        import json
-        import os
-
         tmp = path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(self.snapshot(), f)

@@ -63,12 +63,10 @@ class _Entry:
 class RobotsRules:
     """Parsed robots.txt for one host."""
 
-    def __init__(self, disallow_all: bool = False, allow_all: bool = False):
+    def __init__(self):
         self.entries: list[_Entry] = []
         self.default_entry: _Entry | None = None
         self.sitemaps: list[str] = []
-        self.disallow_all = disallow_all
-        self.allow_all = allow_all
 
     @classmethod
     def parse(cls, lines_or_text: "str | list[str]") -> "RobotsRules":
@@ -129,10 +127,6 @@ class RobotsRules:
             self.entries.append(entry)
 
     def can_fetch(self, useragent: str, url: str) -> bool:
-        if self.disallow_all:
-            return False
-        if self.allow_all:
-            return True
         parsed = urlparse(url)
         path = parsed.path or "/"
         if parsed.query:

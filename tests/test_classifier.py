@@ -83,6 +83,36 @@ class TestNbClassifier:
         assert priors[0] < priors[1] < 0
         assert w.shape == (2, 4096) and w.dtype == np.int64
 
+    def test_many_classes_match_serial_mirror(self, ray_session):
+        """Nine classes, scored one class at a time: predictions and
+        integer scores equal the serial mirror's on every doc, on one block
+        and on several."""
+        import ray.data
+
+        words = ("apple kernel river violin tennis galaxy pepper marble "
+                 "falcon").split()
+        train = [(f"c{c}", " ".join(f"{w}{c}{j} shared{j % 3} {w}{c}{j}"
+                                    for j in range(4)))
+                 for c, w in enumerate(words) for _ in range(c % 3 + 1)]
+        corpus = [(i, f"{words[i % 9]}{i % 9}{i % 4} shared{i % 3} "
+                      f"{words[i % 9]}{i % 9}{(i + 1) % 4}")
+                  for i in range(36)]
+        corpus += [(36 + i, f"{words[i]}{i}0 {words[i + 4]}{i + 4}1")
+                   for i in range(4)] + [(40, ""), (41, "unseen words")]
+        exp = nb_reference(train, corpus)
+        assert len({lab for _, lab, _ in exp}) == 9
+        tt = pa.table({"label": [l for l, _ in train],
+                       "text": [x for _, x in train]})
+        ct = pa.table({"doc_id": pa.array([d for d, _ in corpus],
+                                          type=pa.int64()),
+                       "text": [x for _, x in corpus]})
+        for blocks in (1, 4):
+            got = (nb_train_classify(
+                ray.data.from_arrow(tt).repartition(blocks),
+                ray.data.from_arrow(ct).repartition(blocks),
+                label_col="label").to_pandas().sort_values("doc_id"))
+            assert list(map(tuple, got.itertuples(index=False))) == exp
+
     def test_tie_breaks_to_first_sorted_label(self):
         # identical training text for two labels → identical scores on
         # any doc; argmax must return the lexicographically first label

@@ -175,8 +175,7 @@ class TestResume:
         footprint bytes must stay proportional to the round, not the
         corpus."""
         import os
-
-        import pyarrow.parquet as pq
+        import pickle
 
         from spidey_ray.pipelines.crawl import CrawlEngine
         from spidey_ray.pipelines.oracle import crawl_serial
@@ -186,12 +185,15 @@ class TestResume:
                     ckpt_compact_every=2).run(stop_after_round=3)
         # round 3 is a delta round (3 % 2 == 1): its footprint file must
         # hold only that round's new keys, not the accumulated corpus
-        d3 = os.path.join(ckpt, "round=00003",
-                          "footprints_delta_shard0.parquet")
-        f2 = os.path.join(ckpt, "round=00002",
-                          "footprints_full_shard0.parquet")
+        d3 = os.path.join(ckpt, "round=00003", "footprints_delta_shard0.pkl")
+        f2 = os.path.join(ckpt, "round=00002", "footprints_full_shard0.pkl")
         assert os.path.exists(d3) and os.path.exists(f2)
-        assert pq.read_table(d3).num_rows <= pq.read_table(f2).num_rows
+
+        def rows(path):
+            with open(path, "rb") as f:
+                return len(pickle.load(f)["url"])
+
+        assert rows(d3) <= rows(f2)
         resumed = CrawlEngine.resume(ckpt, small_web,
                                      ckpt_compact_every=2).run()
         oracle = crawl_serial(small_web)
@@ -202,11 +204,11 @@ class TestResume:
 
     def test_resume_returns_with_actors_up(self, ray_session, small_web,
                                            tmp_path):
-        """``resume`` (like ``__init__``) returns only once every URL-shard
-        and host-partition actor is up, and times that wait as
+        """``resume`` (like ``__init__``) returns only once every state
+        partition actor is up, and times that wait as
         ``timings["engine_init"]`` — before, actor start-up landed untimed in
-        the first round of ``run()``.  The four facades share the two pools:
-        ``n_seen_shards + n_host_shards`` actors in all."""
+        the first round of ``run()``.  The four facades share one actor per
+        partition index: ``max(n_seen_shards, n_host_shards)`` actors."""
         import ray
         from ray._private import state
 
@@ -222,8 +224,9 @@ class TestResume:
         handles = (resumed.seen.shards + resumed.footprints.shards
                    + resumed.frontier.shards + resumed.host_shards)
         actors = list({a._actor_id: a for a in handles}.values())
-        assert len(actors) == resumed.n_seen_shards + resumed.n_host_shards
-        assert len(actors) == 6
+        assert len(actors) == max(resumed.n_seen_shards,
+                                  resumed.n_host_shards)
+        assert len(actors) == 4
         states = [state.actors(actor_id=a._actor_id.hex())["State"]
                   for a in actors]
         assert states == ["ALIVE"] * len(actors)
@@ -316,8 +319,9 @@ class TestStateLayout:
     def test_resume_refuses_other_layout(self, ray_session, small_web,
                                          tmp_path):
         """A checkpoint whose last round carries no layout version, or
-        another one, is refused with the directory and both versions named —
-        its footprints would restore into the wrong shards."""
+        another one (version 2 wrote its footprints as Parquet), is refused
+        with the directory and both versions named — its footprints would
+        restore into the wrong shards or not at all."""
         import json
         import os
 
@@ -330,18 +334,50 @@ class TestStateLayout:
         with open(path) as f:
             saved = json.load(f)
         assert saved["layout"] == CHECKPOINT_LAYOUT
-        saved["layout"] = CHECKPOINT_LAYOUT - 1
-        with open(path, "w") as f:
-            json.dump(saved, f)
-        with pytest.raises(ValueError) as err:
-            CrawlEngine.resume(ckpt, small_web)
-        msg = str(err.value)
-        assert rd in msg
-        assert f"version {CHECKPOINT_LAYOUT - 1}" in msg
-        assert f"version {CHECKPOINT_LAYOUT}" in msg
+        for other in sorted({2, CHECKPOINT_LAYOUT - 1}):
+            saved["layout"] = other
+            with open(path, "w") as f:
+                json.dump(saved, f)
+            with pytest.raises(ValueError) as err:
+                CrawlEngine.resume(ckpt, small_web)
+            msg = str(err.value)
+            assert rd in msg
+            assert f"version {other}" in msg
+            assert f"version {CHECKPOINT_LAYOUT}" in msg
         os.remove(path)
         with pytest.raises(ValueError, match="layout version none"):
             CrawlEngine.resume(ckpt, small_web)
+
+    def test_state_actors_load_only_their_libraries(self, ray_session,
+                                                     small_web, tmp_path):
+        """After a checkpointed two-round crawl on 3 URL shards and 2 host
+        partitions (4 partitions, the last holding only a URL shard), no
+        state actor holds ``ray.data`` — frontier rows cross as Arrow IPC
+        bytes, never as pickled tables — and none holds pandas.  The
+        URL-only partition has not loaded ``pyarrow.parquet`` either.  Ray
+        2.49 itself imports ``pyarrow`` into every worker when it builds its
+        serialization context, so that check is on the Parquet module,
+        which only state code loads."""
+        import ray
+
+        from spidey_ray.pipelines.crawl import CrawlEngine
+
+        eng = CrawlEngine(small_web, ckpt_dir=str(tmp_path / "ck"),
+                          n_seen_shards=3, n_host_shards=2)
+        eng.run(stop_after_round=1)
+
+        def held(_actor):
+            import sys
+            return sorted(m for m in ("ray.data", "pandas", "pyarrow.parquet")
+                          if m in sys.modules)
+
+        assert ray.get([h.__ray_call__.remote(held)
+                        for h in eng.host_shards]) == [["pyarrow.parquet"]] * 2
+        assert ray.get([s.__ray_call__.remote(held)
+                        for s in eng.seen.shards]) == [
+            ["pyarrow.parquet"], ["pyarrow.parquet"], []]
+        assert [h._actor_id for h in eng.host_shards] == \
+            [s._actor_id for s in eng.seen.shards[:2]]
 
     def test_resume_without_kwargs_keeps_settings(self, ray_session,
                                                   small_web, tmp_path):
@@ -561,9 +597,9 @@ class TestCuckoo:
         # adds-then-deletes replay would restore it absent)
         import ray
 
-        from spidey_ray.state.cuckoo import UrlShard
+        from spidey_ray.state.partition import Partition
 
-        shard = UrlShard.remote(n_buckets=1 << 8)
+        shard = Partition.remote(0, [], dict(n_buckets=1 << 8), None)
         k = np.array([42], dtype=np.uint64)
         others = np.arange(100, 200, dtype=np.uint64)
         ray.get(shard.seen_or_add.remote(np.concatenate([k, others])))
@@ -571,10 +607,12 @@ class TestCuckoo:
         ray.get(shard.seen_or_add.remote(k))          # re-add, same window
         gone = np.array([150], dtype=np.uint64)
         ray.get(shard.delete.remote(gone))            # stays deleted
-        p = str(tmp_path / "delta.pkl")
-        ray.get(shard.checkpoint_seen.remote(p, False))
+        rd = tmp_path / "round=00000"
+        rd.mkdir()
+        ray.get(shard.checkpoint_seen.remote(str(rd), False))
+        assert (rd / "seen_delta_shard0.pkl").exists()
 
-        restored = UrlShard.remote(seen_chain=[p])
+        restored = Partition.remote(0, [str(rd)], {}, None)
         assert ray.get(restored.contains.remote(k)).all()
         assert not ray.get(restored.contains.remote(gone)).any()
         assert ray.get(restored.contains.remote(others[:5])).all()
@@ -609,8 +647,29 @@ class TestDataContextScope:
 
     def test_state_modules_do_not_import_ray_data(self):
         assert self._fresh(
-            "import sys, spidey_ray.state.cuckoo, spidey_ray.state.frontier;"
-            " print('ray.data' in sys.modules)") == "False"
+            "import sys, spidey_ray.state.cuckoo, spidey_ray.state.frontier,"
+            " spidey_ray.state.partition; print('ray.data' in sys.modules)"
+        ) == "False"
+
+    def test_url_state_loads_no_arrow(self, tmp_path):
+        """A URL shard runs on numpy and pickle alone: importing the
+        partition module, using a shard's seen set and footprints,
+        checkpointing both and restoring them loads neither pyarrow nor
+        pandas."""
+        assert self._fresh(
+            "import sys, numpy as np\n"
+            "import spidey_ray.state.partition\n"
+            "from spidey_ray.state.cuckoo import UrlShard\n"
+            f"d = {str(tmp_path)!r}\n"
+            "s = UrlShard(0)\n"
+            "s.seen_or_add(np.arange(10, dtype=np.uint64))\n"
+            "s.put_arrays(['u'], np.array([7], dtype=np.uint64),"
+            " np.array([3]))\n"
+            "s.checkpoint_seen(d, True), s.checkpoint_footprints(d, True)\n"
+            "r = UrlShard(0, [d])\n"
+            "assert r.count() == 10 and r.get_many(['u']) == {'u': (7, 3)}\n"
+            "print(sorted(m for m in ('pyarrow', 'pandas', 'ray.data')"
+            " if m in sys.modules))") == "[]"
 
     @pytest.mark.parametrize("module", [
         "spidey_ray.pipelines.filter_index", "spidey_ray.pipelines.crawl",
@@ -622,7 +681,8 @@ class TestDataContextScope:
             "c = DataContext.get_current()\n"
             "cap = min(DataContext().read_op_min_num_blocks,"
             " max(2 * (os.cpu_count() or 16), 16))\n"
-            "print(c.use_push_based_shuffle, c.read_op_min_num_blocks == cap)"
+            "print(c.shuffle_strategy == 'sort_shuffle_push_based',"
+            " c.read_op_min_num_blocks == cap)"
         ) == "True True"
 
 
@@ -675,18 +735,20 @@ class TestAdmission:
         assert admitted == [0, 1, 2, 3]
 
 
-def _host_partition(spill_dir):
-    """One host-partition actor with the synthetic fetcher and an
-    8-row-per-host memory cap."""
+def _host_partition(spill_dir, window):
+    """A state partition holding only host partition 0, with the synthetic
+    fetcher, an 8-row-per-host memory cap and a politeness clock that
+    admits ``window`` URLs per host in round 0."""
     from dataclasses import asdict
 
-    from spidey_ray.state.frontier import HostPartition
+    from spidey_ray.state.partition import Partition
     from spidey_ray.state.politeness import CrawlSettings
 
-    return HostPartition.remote(
-        CrawlSettings(), ("spidey_ray.sources.synthetic_web", "make_fetch_fn",
-                          asdict(WebConfig())),
-        spill_dir=spill_dir, mem_rows_per_host=8)
+    return Partition.remote(0, [], None, dict(
+        settings=CrawlSettings(politeness=1.0, round_window=window),
+        fetch_spec=("spidey_ray.sources.synthetic_web", "make_fetch_fn",
+                    asdict(WebConfig())),
+        spill_dir=spill_dir, mem_rows_per_host=8))
 
 
 class TestFrontierSpill:
@@ -727,8 +789,10 @@ class TestFrontierSpill:
         import pyarrow as pa
         import ray
 
+        from spidey_ray.state.frontier import from_ipc, to_ipc
+
         spill = str(tmp_path / "sp")
-        shard = _host_partition(spill)
+        shard = _host_partition(spill, window=25.0)
         rows = {
             "url": [f"https://h.example.com/p/{i:03d}" for i in range(30)],
             "url_hash": [bytes([i]) * 20 for i in range(30)],
@@ -737,17 +801,21 @@ class TestFrontierSpill:
             "parent_url": [""] * 30,
             "round_added": [0] * 30,
         }
-        ray.get(shard.add.remote(pa.table(rows)))
-        assert ray.get(shard.count.remote()) == 30
-        assert ray.get(shard.host_counts.remote()) == {"h.example.com": 30}
-        spill_files = [f for f in os.listdir(spill) if f.endswith(".parquet")]
+        ray.get(shard.add.remote(to_ipc(pa.table(rows))))
+        assert ray.get(shard.pending.remote()) == 30
+        spill_files = [f for f in os.listdir(os.path.join(spill, "shard0"))
+                       if f.endswith(".parquet")]
         assert spill_files, "tail must have spilled to disk"
-        # canonical order over ALL 30 rows (depth asc, url asc)
+        # canonical order over ALL 30 rows (depth asc, url asc); the
+        # politeness clock grants 25 of them
         expected = sorted(zip(rows["depth"], rows["url"]))
-        got = ray.get(shard.admit.remote({"h.example.com": 25}))
+        got, stats = ray.get(shard.admit_with.remote(0))
+        assert stats == {"rows_in": 30, "hot_host": "h.example.com",
+                         "hot_rows": 30}
+        got = from_ipc(got)
         assert list(zip(got["depth"].to_pylist(), got["url"].to_pylist())) \
             == expected[:25]
-        assert ray.get(shard.count.remote()) == 5
+        assert ray.get(shard.pending.remote()) == 5
 
     def test_cancel_filters_spill_without_compacting(self, ray_session,
                                                      tmp_path):
@@ -759,8 +827,10 @@ class TestFrontierSpill:
         import pyarrow as pa
         import ray
 
+        from spidey_ray.state.frontier import from_ipc, to_ipc
+
         spill = str(tmp_path / "sp")
-        shard = _host_partition(spill)
+        shard = _host_partition(spill, window=100.0)
         rows = {
             "url": [f"https://h.example.com/p/{i:03d}" for i in range(40)],
             "url_hash": [bytes([i]) * 20 for i in range(40)],
@@ -769,19 +839,22 @@ class TestFrontierSpill:
             "parent_url": [""] * 40,
             "round_added": [0] * 40,
         }
-        ray.get(shard.add.remote(pa.table(rows)))
+        ray.get(shard.add.remote(to_ipc(pa.table(rows))))
         # cancel every url ending in an odd digit (hits mem AND spill rows)
         removed = ray.get(shard.cancel.remote([r".*[13579]$"]))
         surviving = [(d, u) for d, u in zip(rows["depth"], rows["url"])
                      if not u.endswith(("1", "3", "5", "7", "9"))]
         assert len(removed) == 40 - len(surviving)
-        assert ray.get(shard.count.remote()) == len(surviving)
+        assert ray.get(shard.pending.remote()) == len(surviving)
         # spill dir still holds files (no full compaction happened)
-        assert any(f.endswith(".parquet") for f in os.listdir(spill))
-        got = ray.get(shard.admit.remote({"h.example.com": len(surviving)}))
+        assert any(f.endswith(".parquet")
+                   for f in os.listdir(os.path.join(spill, "shard0")))
+        got, stats = ray.get(shard.admit_with.remote(0))
+        assert stats["rows_in"] == len(surviving)
+        got = from_ipc(got)
         assert list(zip(got["depth"].to_pylist(), got["url"].to_pylist())) \
             == sorted(surviving)
-        assert ray.get(shard.count.remote()) == 0
+        assert ray.get(shard.pending.remote()) == 0
 
 
 class TestRetryIdempotency:
