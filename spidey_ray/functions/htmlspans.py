@@ -83,9 +83,6 @@ class ParsedDoc:
             s.text for s in self.spans if s.kind not in ("link", "media")
         )
 
-    def text_spans(self) -> list[Span]:
-        return [s for s in self.spans if s.kind not in ("link", "media")]
-
 
 class _SpanExtractor(_StdHTMLParser):
     def __init__(self, base_url: str):

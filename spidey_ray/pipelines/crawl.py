@@ -29,10 +29,10 @@ phase methods that fill one record, ``_Round``; ``timings`` keys in brackets:
    (frontier.py:60-66).
 8. ``_boundary`` [boundary] — blacklist growth and the shard-side cancel.
 
-``run`` hands the record to ``_checkpoint`` [checkpoint]: pending frontier,
-fetched delta, gate state, blacklist, host snapshots, cuckoo blobs, token
-partials, documents, exclusions and lineage go to Parquet/JSON under
-``ckpt_dir``; ``_SUCCESS`` marks the round complete, and
+``run`` hands the record to ``_checkpoint`` [checkpoint]: the partitions
+write their own blobs, the driver the fetched delta and token partials,
+and last one ``manifest.json`` (layout, options, settings, gate state,
+blacklist, excluded documents, lineage row) that marks the round complete;
 ``CrawlEngine.resume`` restarts from the last complete one (north_rule
 resumability).
 
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -93,12 +94,14 @@ def _round_stage_task(tbl: pa.Table, kwargs: dict) -> pa.Table:
 PENDING_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
 
 # Version of the checkpoint's file layout, written to every round's
-# engine.json.  Version 2 routes footprints by the seen key; version 3
-# writes them as numpy pickles instead of Parquet.  Resume refuses any other
-# version, whose state would restore into the wrong shards or not at all.
-CHECKPOINT_LAYOUT = 3
+# manifest.  Version 2 routes footprints by the seen key; version 3 writes
+# them as numpy pickles; version 4 writes one manifest per round.  Resume
+# refuses any other version, whose state would restore into the wrong
+# shards or not at all.
+CHECKPOINT_LAYOUT = 4
+MANIFEST = "manifest.json"
 
-# CrawlEngine's options and their defaults.  Every round's engine.json
+# CrawlEngine's options and their defaults.  Every round's manifest
 # records the values the engine ran with, and ``resume`` starts from them.
 # ``fetch_kwargs=None`` means the web config's own fields.
 OPTIONS = dict(
@@ -146,12 +149,12 @@ class _Round:
     host_count_inc: dict[str, int] = field(default_factory=dict)  # count_urls
 
     def lineage(self) -> dict:
-        """The round's row of ``lineage.parquet``."""
+        """The round's lineage row, kept in its manifest."""
         return dict(
             round=self.k, rows_in=sum(self.rows_in_per_shard),
             urls_fetched=len(self.fetched), rows_out=self.rows_out,
             bytes=self.content_bytes,
-            rows_in_per_shard=json.dumps(self.rows_in_per_shard),
+            rows_in_per_shard=self.rows_in_per_shard,
             hot_host=self.hot_host, hot_host_rows=self.hot_host_rows,
             stage_blocks=self.stage_blocks,
             stage_max_block=self.stage_max_block)
@@ -181,7 +184,7 @@ class EngineResult:
     def __init__(self, *, gate: GateState, blacklist: BlacklistState,
                  host_shards: list,
                  longest: list[tuple[int, str]], rounds: int,
-                 documents_path: str | None, ckpt_dir: str | None,
+                 ckpt_dir: str | None,
                  frontier_pool: "ShardedFrontier",
                  fetched_frames: list[pd.DataFrame] | None = None,
                  token_part_refs: list | None = None):
@@ -191,7 +194,8 @@ class EngineResult:
         self._host_snap_cache: dict[str, dict] | None = None
         self.longest = longest
         self.rounds = rounds
-        self.documents_path = documents_path
+        self.documents_path = (os.path.join(ckpt_dir, "documents")
+                               if ckpt_dir else None)
         self._ckpt_dir = ckpt_dir
         self._frontier_pool = frontier_pool
         self._fetched_frames = fetched_frames or []
@@ -203,14 +207,10 @@ class EngineResult:
 
     # ---- lazy plumbing ------------------------------------------------
     def _round_files(self, name: str) -> list[str]:
-        if not self._ckpt_dir or not os.path.isdir(self._ckpt_dir):
+        if not self._ckpt_dir:
             return []
-        return [
-            os.path.join(self._ckpt_dir, r, name)
-            for r in sorted(os.listdir(self._ckpt_dir))
-            if r.startswith("round=")
-            and os.path.exists(os.path.join(self._ckpt_dir, r, name))
-        ]
+        return [os.path.join(rd, name)
+                for rd in _complete_rounds(self._ckpt_dir)]
 
     def _fetched(self) -> pd.DataFrame:
         if self._fetched_cache is None:
@@ -279,11 +279,8 @@ class EngineResult:
     @property
     def excluded_doc_ids(self) -> set[str]:
         if self._excluded_cache is None:
-            excl: set[str] = set()
-            for f in self._round_files("excluded_docs.json"):
-                with open(f) as fh:
-                    excl.update(json.load(fh))
-            self._excluded_cache = excl
+            self._excluded_cache = (_excluded_doc_ids(self._ckpt_dir)
+                                    if self._ckpt_dir else set())
         return self._excluded_cache
 
     # ---- scale accessors ----------------------------------------------
@@ -366,16 +363,6 @@ class EngineResult:
                               kind="mergesort").head(k)
         return [(t, int(n)) for t, n in zip(top["token"], top["n"])]
 
-    def _drop_excluded(self):
-        """The one documents filter: a table → table function that drops
-        the gate-suppressed pages, with their value set built once, or None
-        when no page was suppressed."""
-        if not self.excluded_doc_ids:
-            return None
-        excl = pa.array(sorted(self.excluded_doc_ids), type=pa.string())
-        return lambda t: t.filter(pc.invert(
-            pc.is_in(t["doc_id"], value_set=excl)))
-
     def documents(self) -> pa.Table | None:
         """TEST/SMALL-RUN ONLY — eager driver-side concat of the documents
         table (used by the equality tests).  Production consumers stream
@@ -383,7 +370,7 @@ class EngineResult:
         whole corpus on the driver and must not be used at scale."""
         if self.documents_path is None or not os.path.exists(self.documents_path):
             return None
-        drop = self._drop_excluded()
+        drop = _drop_excluded(self.excluded_doc_ids)
         parts = []
         for rd in sorted(os.listdir(self.documents_path)):
             d = os.path.join(self.documents_path, rd)
@@ -394,14 +381,10 @@ class EngineResult:
         return pa.concat_tables(parts) if parts else None
 
     def documents_dataset(self) -> "ray.data.Dataset | None":
-        """Streaming form of :meth:`documents` — the downstream
-        filter/indexer consumes this without ever materializing the corpus
-        on the driver.  The exclusion anti-filter is a broadcast small side."""
-        if self.documents_path is None or not os.path.exists(self.documents_path):
-            return None
-        ds = ray.data.read_parquet(self.documents_path)
-        drop = self._drop_excluded()
-        return ds.map_batches(drop, batch_format="pyarrow") if drop else ds
+        """Streaming form of :meth:`documents` (:func:`read_documents`) —
+        the downstream filter/indexer consumes this without ever
+        materializing the corpus on the driver."""
+        return read_documents(self._ckpt_dir) if self._ckpt_dir else None
 
 
 class CrawlEngine:
@@ -498,8 +481,8 @@ class CrawlEngine:
         if not rd:
             return
         self.start_round = int(os.path.basename(rd).split("=")[1]) + 1
-        with open(os.path.join(rd, "gate.json")) as f:
-            g = json.load(f)
+        m = _manifest(rd)
+        g, b = m["gate"], m["blacklist"]
         self.gate = GateState(
             previouspage=g["previouspage"],
             unique_url_count=g["unique_url_count"],
@@ -508,8 +491,6 @@ class CrawlEngine:
         )
         self.fetch_seq = g["fetch_seq"]
         self.longest = [tuple(x) for x in g["longest"]]
-        with open(os.path.join(rd, "blacklist.json")) as f:
-            b = json.load(f)
         self.blacklist = BlacklistState(
             permanent=dict(b["permanent"]), temp=set(b["temp"]))
 
@@ -583,8 +564,7 @@ class CrawlEngine:
                     break
             return self._result(round_k)
         except ray.exceptions.RayActorError as e:
-            last = (_complete_rounds(self.ckpt_dir)
-                    if self.ckpt_dir and os.path.isdir(self.ckpt_dir) else [])
+            last = _complete_rounds(self.ckpt_dir) if self.ckpt_dir else []
             raise RuntimeError(
                 f"a crawl state actor died in round {round_k}; "
                 + (f"the last complete checkpoint is {last[-1]}: continue "
@@ -946,10 +926,10 @@ class CrawlEngine:
     def _checkpoint(self, rnd: _Round) -> None:
         """Round ``rnd``'s checkpoint: every actor-side snapshot task (host
         partitions, seen and footprint halves of the URL shards) is
-        SUBMITTED first, then the driver's own file writes run concurrently
-        with them and ONE ``ray.get`` barrier lands everything before
-        ``_SUCCESS`` (the old code held three pool-level barriers before
-        its first local write).  A crash mid-write leaves no success marker
+        SUBMITTED first, then the driver's own Parquet writes run
+        concurrently with them and ONE ``ray.get`` barrier lands everything
+        before the round's manifest is written, last, as a temporary file
+        renamed into place.  A crash before the rename leaves no manifest
         and resume falls back to the previous round (the SIGKILL test's
         contract).
 
@@ -963,7 +943,9 @@ class CrawlEngine:
         """
         fp_refs, self._fp_put_refs = self._fp_put_refs, []
         rd = os.path.join(self.ckpt_dir, f"round={rnd.k:05d}")
-        os.makedirs(rd, exist_ok=True)
+        # start empty: no file of a crashed attempt at this round survives
+        shutil.rmtree(rd, ignore_errors=True)
+        os.makedirs(rd)
         # sharded state checkpoints itself: each host partition and URL
         # shard writes its own blobs under the round dir — the blobs
         # never round-trip through the driver (round-1 verdict #2/#3).
@@ -977,41 +959,37 @@ class CrawlEngine:
             + self.seen.checkpoint_refs(rd, full=full)
         )
 
-        def write_json(name: str, obj) -> None:
-            # json.dumps, not json.dump: only the one-shot form runs the C
-            # encoder
-            with open(os.path.join(rd, name), "w") as f:
-                f.write(json.dumps(obj))
-
         fd = rnd.fetched.copy()
         fd["url_hash"] = fd["url_hash"].map(bytes)
         pq.write_table(pa.Table.from_pandas(fd, preserve_index=False),
                        os.path.join(rd, "fetched_delta.parquet"))
-        write_json("gate.json", {
-            "previouspage": self.gate.previouspage,
-            "unique_url_count": self.gate.unique_url_count,
-            "query_dict": {
-                k: [[v[0][0], v[0][1]], v[1]] for k, v in self.gate.query_dict.items()
-            },
-            "fetch_seq": self.fetch_seq,
-            "longest": self.longest,
-        })
-        write_json("blacklist.json", {
-            "permanent": dict(self.blacklist.permanent),
-            "temp": sorted(self.blacklist.temp)})
         pq.write_table(rnd.token_partial,
                        os.path.join(rd, "token_partials.parquet"))
-        write_json("excluded_docs.json", rnd.excluded_docs)
-        write_json("engine.json", {"layout": CHECKPOINT_LAYOUT,
-                                   "options": self.options,
-                                   "settings": asdict(self.settings)})
-        pq.write_table(pa.table({k: [v] for k, v in rnd.lineage().items()}),
-                       os.path.join(rd, "lineage.parquet"))
+        # json.dumps, not json.dump: only the one-shot form runs the C
+        # encoder
+        manifest = json.dumps({
+            "layout": CHECKPOINT_LAYOUT, "options": self.options,
+            "settings": asdict(self.settings),
+            "gate": {
+                "previouspage": self.gate.previouspage,
+                "unique_url_count": self.gate.unique_url_count,
+                "query_dict": {k: [[v[0][0], v[0][1]], v[1]]
+                               for k, v in self.gate.query_dict.items()},
+                "fetch_seq": self.fetch_seq,
+                "longest": self.longest,
+            },
+            "blacklist": {"permanent": dict(self.blacklist.permanent),
+                          "temp": sorted(self.blacklist.temp)},
+            "excluded_docs": rnd.excluded_docs,
+            "lineage": rnd.lineage(),
+        })
         if fp_refs:   # surface any failed async footprint writes
             ray.get(fp_refs)
         ray.get(shard_refs)
-        with open(os.path.join(rd, "_SUCCESS"), "w") as f:
-            f.write("ok")
+        tmp = os.path.join(rd, MANIFEST + ".tmp")
+        with open(tmp, "w") as f:
+            f.write(manifest)
+        os.replace(tmp, os.path.join(rd, MANIFEST))
 
     @classmethod
     def resume(cls, ckpt_dir: str, web_cfg: sw.WebConfig,
@@ -1024,14 +1002,16 @@ class CrawlEngine:
         conflicting one raises ``ValueError``, as does a checkpoint of
         another layout version."""
         rounds = _complete_rounds(ckpt_dir)
-        if not rounds:
-            return cls(web_cfg, settings, ckpt_dir=ckpt_dir, **options)
-        rd = rounds[-1]
-        path = os.path.join(rd, "engine.json")
-        saved: dict = {}
-        if os.path.exists(path):
-            with open(path) as f:
-                saved = json.load(f)
+        if rounds:
+            rd = rounds[-1]
+            saved = _manifest(rd)
+        else:
+            # layouts up to 3 marked a complete round with _SUCCESS: refuse
+            # such a checkpoint, never crawl over it
+            old = _complete_rounds(ckpt_dir, "_SUCCESS")
+            if not old:
+                return cls(web_cfg, settings, ckpt_dir=ckpt_dir, **options)
+            rd, saved = old[-1], {"layout": "3 or older"}
         found = saved.get("layout", "none")
         if found != CHECKPOINT_LAYOUT:
             raise ValueError(
@@ -1071,9 +1051,6 @@ class CrawlEngine:
             host_shards=list(self.host_shards),
             longest=self.longest,
             rounds=rounds_done,
-            documents_path=(
-                os.path.join(self.ckpt_dir, "documents") if self.ckpt_dir else None
-            ),
             ckpt_dir=self.ckpt_dir,
             frontier_pool=self.frontier,
             fetched_frames=self._fetched_frames,
@@ -1093,9 +1070,44 @@ def _update_longest(longest: list[tuple[int, str]], n: int, url: str) -> None:
     del longest[10:]
 
 
-def _complete_rounds(ckpt_dir: str) -> list[str]:
-    """The round dirs of ``ckpt_dir`` that carry ``_SUCCESS``, oldest
-    first."""
+def _complete_rounds(ckpt_dir: str, marker: str = MANIFEST) -> list[str]:
+    """The round dirs of ``ckpt_dir`` that hold ``marker``, oldest first."""
+    if not os.path.isdir(ckpt_dir):
+        return []
     return [os.path.join(ckpt_dir, d) for d in sorted(os.listdir(ckpt_dir))
             if d.startswith("round=")
-            and os.path.exists(os.path.join(ckpt_dir, d, "_SUCCESS"))]
+            and os.path.exists(os.path.join(ckpt_dir, d, marker))]
+
+
+def _manifest(rd: str) -> dict:
+    with open(os.path.join(rd, MANIFEST)) as f:
+        return json.load(f)
+
+
+def _excluded_doc_ids(ckpt_dir: str) -> set[str]:
+    """The gate-suppressed pages of every complete round of ``ckpt_dir``."""
+    excl: set[str] = set()
+    for rd in _complete_rounds(ckpt_dir):
+        excl.update(_manifest(rd)["excluded_docs"])
+    return excl
+
+
+def _drop_excluded(excluded: set[str]):
+    """The one documents filter: a table → table function that drops the
+    ``excluded`` pages, or None when there are none."""
+    if not excluded:
+        return None
+    excl = pa.array(sorted(excluded), type=pa.string())
+    return lambda t: t.filter(pc.invert(
+        pc.is_in(t["doc_id"], value_set=excl)))
+
+
+def read_documents(ckpt_dir: str) -> "ray.data.Dataset | None":
+    """The documents of crawl checkpoint ``ckpt_dir`` minus the pages the
+    gates suppressed (a broadcast anti-filter), or None if it has none."""
+    path = os.path.join(ckpt_dir, "documents")
+    if not os.path.exists(path):
+        return None
+    ds = ray.data.read_parquet(path)
+    drop = _drop_excluded(_excluded_doc_ids(ckpt_dir))
+    return ds.map_batches(drop, batch_format="pyarrow") if drop else ds

@@ -14,8 +14,9 @@ directory per shard (``shard=NNNNN/part.parquet`` + ``_SUCCESS``), so
 The write happens INSIDE the per-shard ``map_groups`` task — shards
 write in parallel across the cluster against shared storage, the driver
 sees only the n_shards-row summary.  This generalizes the crawl
-checkpoint's round-directory + ``_SUCCESS`` discipline
-(pipelines/crawl.py:957) to corpus export.
+checkpoint's discipline (a round directory that counts only once its
+marker, the manifest, is in place: ``CrawlEngine._checkpoint``) to corpus
+export.
 """
 
 from __future__ import annotations

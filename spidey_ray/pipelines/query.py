@@ -212,17 +212,6 @@ class QueryIndex:
         return [self._doc_title_url(d) for d, _ in ranked]
 
 
-def load_query_index(postings_path: str, doc_meta_path: str,
-                     num_documents: int) -> QueryIndex:
-    from .. import io as sio
-
-    return QueryIndex(
-        sio.read_table_arrow(postings_path),
-        sio.read_table_arrow(doc_meta_path),
-        num_documents,
-    )
-
-
 class _RowGroupIndex:
     """Persistent key → row-group map built from the parquet FOOTERS at
     replica init (metadata-only — no data pages touched): for every row

@@ -3,7 +3,7 @@
 The reference keeps these shapes implicit (JSON field conventions, shelve
 tuples, positional arrays).  ``HOSTS`` is the per-host state snapshot row;
 ``LINEAGE`` is the per-round lineage row, not yet enforced on the
-``lineage.parquet`` the crawl checkpoint writes.
+``lineage`` entry of the crawl checkpoint's per-round ``manifest.json``.
 """
 
 from __future__ import annotations

@@ -330,7 +330,8 @@ class FrontierShard:
     def checkpoint_pending(self, path: str) -> int:
         """Write mem rows to ``path`` and HARD-LINK the immutable spill
         files into ``path + '.spill/'`` with a JSON manifest — checkpoint
-        I/O is O(mem rows + #spill files), not O(pending frontier).
+        I/O is O(mem rows + #spill files), not O(pending frontier); with
+        nothing spilled there is no manifest.
         (Round-2 verdict: the old checkpoint re-read and re-wrote every
         spill file every round — O(frontier) write amplification × rounds.)
         Spill files are never modified in place (compaction unlinks and new
@@ -356,8 +357,9 @@ class FrontierShard:
             smin = self.spill_min[host]
             manifest[host] = {"files": names, "n": self.n_spilled[host],
                               "min": [smin[0], smin[1]]}
-        with open(path + ".spill.json", "w") as f:
-            json.dump(manifest, f)
+        if manifest:     # no manifest reads back as no spill
+            with open(path + ".spill.json", "w") as f:
+                json.dump(manifest, f)
         return self.n
 
 

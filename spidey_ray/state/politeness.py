@@ -12,7 +12,8 @@ Reference semantics being reproduced:
   UNCHECKED (reference calls frontier.add_url directly); any other sitemap
   URL is added after the standard URL checks (scraper.py:89-90),
 - robots gate: ``can_fetch('*', url)``, allow-all when robots.txt is missing
-  or unparseable (scraper.py:58-59, 71-72),
+  or unparseable (scraper.py:58-59, 71-72), disallow-all when it answers
+  401 or 403 (robotparser.py:66-75),
 - politeness: the reference sleeps a global 0.5 s between fetches
   (worker.py:36, config.ini:12); the rebuild's canonical semantics (the
   north_rule's per-host min-heap) is a per-host virtual clock
@@ -108,6 +109,12 @@ def process_robots(
     state.clock += state.delay(settings)  # politeness sleep before robots fetch
     final_url, status, content = fetch(robotsurl)
 
+    if status in (401, 403):
+        # disallow all, kept as a rule body so that the host snapshot, the
+        # round stage's rules and can_fetch all read the same rules
+        state.robots_txt = "User-agent: *\nDisallow: /\n"
+        state.robots = RobotsRules.parse(state.robots_txt)
+        return [], []
     if status != 200 or not content or not is_valid(final_url):
         return [], []
 

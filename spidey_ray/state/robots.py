@@ -10,7 +10,8 @@ robotparser (backend/crawler/robotparser.py):
 - Crawl-delay parsed per entry (robotparser.py:185-193),
 - Sitemap: lines collected globally (robotparser.py:205-208),
 - 401/403 on fetch ⇒ disallow all; other non-200 ⇒ allow all
-  (robotparser.py:66-75 semantics, applied by the caller).
+  (robotparser.py:66-75 semantics, applied by the caller,
+  politeness.process_robots).
 
 Fresh implementation (no stdlib subclassing) so the matching semantics are
 explicit and unit-tested (FIXTURES.md §A3).

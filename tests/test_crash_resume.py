@@ -1,6 +1,6 @@
 """Crash-consistency: a crawl SIGKILLed mid-flight (no cleanup, no atexit)
 must resume from its last complete round checkpoint and converge to the
-exact same result as an uninterrupted run — the `_SUCCESS`-marker
+exact same result as an uninterrupted run — the per-round manifest's
 atomicity claim under a real abrupt death, not a cooperative stop."""
 
 import json
@@ -11,6 +11,8 @@ import sys
 import time
 
 import pytest
+
+from spidey_ray.pipelines.crawl import _complete_rounds
 
 _TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                      "tools", "run_crawl.py")
@@ -43,10 +45,7 @@ def test_sigkill_mid_crawl_then_resume_equals_fresh(tmp_path):
         # execution happens to be)
         deadline = time.time() + 240
         while time.time() < deadline:
-            done = [d for d in (os.listdir(ck) if os.path.isdir(ck) else [])
-                    if d.startswith("round=")
-                    and os.path.exists(os.path.join(ck, d, "_SUCCESS"))]
-            if len(done) >= 2:
+            if len(_complete_rounds(ck)) >= 2:
                 break
             if victim.poll() is not None:
                 pytest.fail("victim finished before it could be killed; "

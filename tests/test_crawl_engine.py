@@ -266,7 +266,8 @@ class TestStateLayout:
 
         import pyarrow.parquet as pq
 
-        from spidey_ray.pipelines.crawl import CrawlEngine, _complete_rounds
+        from spidey_ray.pipelines.crawl import (
+            CrawlEngine, _complete_rounds, _manifest)
         from spidey_ray.pipelines.oracle import crawl_serial
         from spidey_ray.state.politeness import CrawlSettings
 
@@ -280,11 +281,11 @@ class TestStateLayout:
         assert res.token_counts == oracle.token_counts
         fetched = []
         for rd in _complete_rounds(ckpt):
-            lin = pq.read_table(os.path.join(rd, "lineage.parquet"))
+            lin = _manifest(rd)["lineage"]
             n = pq.read_metadata(
                 os.path.join(rd, "fetched_delta.parquet")).num_rows
-            assert [(r["round"], r["urls_fetched"]) for r in lin.to_pylist()] \
-                == [(int(rd.rsplit("=", 1)[1]), n)]
+            assert (lin["round"], lin["urls_fetched"]) \
+                == (int(rd.rsplit("=", 1)[1]), n)
             fetched.append(n)
         assert 0 in fetched
 
@@ -321,7 +322,10 @@ class TestStateLayout:
         """A checkpoint whose last round carries no layout version, or
         another one (version 2 wrote its footprints as Parquet), is refused
         with the directory and both versions named — its footprints would
-        restore into the wrong shards or not at all."""
+        restore into the wrong shards or not at all.  So is a checkpoint of
+        layout 3 or older, whose rounds carry ``_SUCCESS`` and no manifest:
+        it has no complete round of this layout, and resume must not start
+        a fresh crawl over it."""
         import json
         import os
 
@@ -330,11 +334,11 @@ class TestStateLayout:
         ckpt = str(tmp_path / "ckl")
         CrawlEngine(small_web, ckpt_dir=ckpt).run(stop_after_round=1)
         rd = os.path.join(ckpt, "round=00001")
-        path = os.path.join(rd, "engine.json")
+        path = os.path.join(rd, "manifest.json")
         with open(path) as f:
             saved = json.load(f)
         assert saved["layout"] == CHECKPOINT_LAYOUT
-        for other in sorted({2, CHECKPOINT_LAYOUT - 1}):
+        for other in sorted({2, 3, CHECKPOINT_LAYOUT - 1}):
             saved["layout"] = other
             with open(path, "w") as f:
                 json.dump(saved, f)
@@ -344,9 +348,82 @@ class TestStateLayout:
             assert rd in msg
             assert f"version {other}" in msg
             assert f"version {CHECKPOINT_LAYOUT}" in msg
-        os.remove(path)
+        del saved["layout"]
+        with open(path, "w") as f:
+            json.dump(saved, f)
         with pytest.raises(ValueError, match="layout version none"):
             CrawlEngine.resume(ckpt, small_web)
+
+        # a layout-3 checkpoint: the same rounds marked the old way
+        old = str(tmp_path / "ck3")
+        for r in ("round=00000", "round=00001"):
+            os.makedirs(os.path.join(old, r))
+            with open(os.path.join(old, r, "_SUCCESS"), "w") as f:
+                f.write("ok")
+        with pytest.raises(ValueError) as err:
+            CrawlEngine.resume(old, small_web)
+        msg = str(err.value)
+        assert os.path.join(old, "round=00001") in msg
+        assert "version 3 or older" in msg
+        assert f"version {CHECKPOINT_LAYOUT}" in msg
+        assert sorted(os.listdir(old)) == ["round=00000", "round=00001"]
+
+    def test_torn_manifest_resumes_from_round_before(self, ray_session,
+                                                     small_web, tmp_path):
+        """A crash while the last round's manifest was being written leaves
+        a ``manifest.json.tmp`` and no ``manifest.json``: that round is not
+        complete, resume restarts from the round before it, and the crawl
+        equals the serial oracle's."""
+        import os
+
+        from spidey_ray.pipelines.crawl import CrawlEngine, _complete_rounds
+        from spidey_ray.pipelines.oracle import crawl_serial
+
+        ckpt = str(tmp_path / "ckt")
+        CrawlEngine(small_web, ckpt_dir=ckpt).run()
+        rounds = _complete_rounds(ckpt)
+        last = rounds[-1]
+        os.remove(os.path.join(last, "manifest.json"))
+        with open(os.path.join(last, "manifest.json.tmp"), "w") as f:
+            f.write('{"layout": ')
+        assert _complete_rounds(ckpt) == rounds[:-1]
+        eng = CrawlEngine.resume(ckpt, small_web)
+        assert eng.start_round == len(rounds) - 1
+        res = eng.run()
+        oracle = crawl_serial(small_web)
+        assert res.fetch_log == oracle.fetch_log
+        assert res.seen_hashes == oracle.seen_hashes
+        assert res.token_counts == oracle.token_counts
+        assert dict(res.blacklist.permanent) == dict(
+            oracle.blacklist.permanent)
+        assert _complete_rounds(ckpt) == rounds
+        assert not os.path.exists(os.path.join(last, "manifest.json.tmp"))
+
+    def test_round_dir_holds_three_driver_files(self, ray_session,
+                                                small_web, tmp_path):
+        """At 4 URL shards and 2 host partitions with nothing spilled, each
+        round dir holds exactly the driver's three files and the
+        partitions' own: a pending frontier and a host snapshot per host
+        partition, and a seen and a footprint blob (full every
+        ``ckpt_compact_every`` rounds, else a delta) per URL shard."""
+        import os
+
+        from spidey_ray.pipelines.crawl import CrawlEngine, _complete_rounds
+
+        ckpt = str(tmp_path / "ckf")
+        CrawlEngine(small_web, ckpt_dir=ckpt, n_seen_shards=4,
+                    n_host_shards=2, ckpt_compact_every=2).run()
+        rounds = _complete_rounds(ckpt)
+        assert len(rounds) > 2
+        for k, rd in enumerate(rounds):
+            kind = "full" if k % 2 == 0 else "delta"
+            want = {"fetched_delta.parquet", "token_partials.parquet",
+                    "manifest.json"}
+            want |= {f"{n}_shard{i}.{x}" for i in range(2)
+                     for n, x in (("pending", "parquet"), ("host", "json"))}
+            want |= {f"{n}_{kind}_shard{i}.pkl" for i in range(4)
+                     for n in ("seen", "footprints")}
+            assert sorted(os.listdir(rd)) == sorted(want), rd
 
     def test_state_actors_load_only_their_libraries(self, ray_session,
                                                      small_web, tmp_path):
@@ -448,12 +525,8 @@ class TestHotHostSkew:
         round stage's blocks must stay uniform — the hot host's admitted
         rows are spread by the driver's row-range slicing, so no block
         (and hence no task) holds more than ceil(round/blocks) rows."""
-        import json as _json
-        import os
-
-        import pyarrow.parquet as pq
-
-        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.pipelines.crawl import (
+            CrawlEngine, _complete_rounds, _manifest)
         from spidey_ray.pipelines.oracle import crawl_serial
 
         cfg = WebConfig(n_hosts=8, pages_per_host=3, hot_host_pages=150,
@@ -464,13 +537,9 @@ class TestHotHostSkew:
         assert res.fetch_log == o.fetch_log
         assert res.token_counts == o.token_counts
         hot_seen = False
-        for r in sorted(os.listdir(ckpt)):
-            lf = os.path.join(ckpt, r, "lineage.parquet")
-            if not r.startswith("round=") or not os.path.exists(lf):
-                continue
-            lin = pq.read_table(lf).to_pylist()[0]
-            per_shard = _json.loads(lin["rows_in_per_shard"])
-            assert sum(per_shard) == lin["rows_in"]
+        for rd in _complete_rounds(ckpt):
+            lin = _manifest(rd)["lineage"]
+            assert sum(lin["rows_in_per_shard"]) == lin["rows_in"]
             if lin["rows_in"] and lin["hot_host_rows"] > 0.5 * lin["rows_in"]:
                 hot_seen = True   # telemetry catches the skewed round
             # balance invariant: biggest stage block == uniform ceiling
@@ -779,6 +848,36 @@ class TestFrontierSpill:
         oracle = crawl_serial(small_web)
         assert resumed.fetch_log == oracle.fetch_log
         assert resumed.seen_hashes == oracle.seen_hashes
+
+    def test_rerun_round_reads_no_stale_spill(self, ray_session, tmp_path):
+        """A round re-run after a crash before its manifest starts from an
+        empty round dir.  Here the crashed attempt spilled and the re-run,
+        with a larger in-memory cap, does not, so it writes no spill
+        manifest; the next resume must not read the crashed attempt's one
+        (its rows would be pending twice)."""
+        import os
+
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.pipelines.oracle import crawl_serial
+
+        web = WebConfig(n_hosts=3, pages_per_host=60, n_seeds=3)
+        ckpt = str(tmp_path / "ck")
+        rd = os.path.join(ckpt, "round=00000")
+
+        def spill_manifests():
+            return [f for f in os.listdir(rd) if f.endswith(".spill.json")]
+
+        CrawlEngine(web, ckpt_dir=ckpt,
+                    frontier_mem_rows_per_host=8).run(stop_after_round=0)
+        assert spill_manifests()
+        os.remove(os.path.join(rd, "manifest.json"))
+        CrawlEngine.resume(ckpt, web, frontier_mem_rows_per_host=10**6).run(
+            stop_after_round=0)
+        assert not spill_manifests()
+        res = CrawlEngine.resume(ckpt, web).run()
+        oracle = crawl_serial(web)
+        assert res.fetch_log == oracle.fetch_log
+        assert res.seen_hashes == oracle.seen_hashes
 
     def test_shard_spill_mechanics(self, ray_session, tmp_path):
         """Direct shard check: tail spills to disk, counts include spilled

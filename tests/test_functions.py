@@ -252,6 +252,35 @@ class TestRobots:
         hs = HostState(host="h.example.com")
         assert hs.can_fetch("https://h.example.com/x", CrawlSettings())
 
+    def test_forbidden_robots_disallows_all(self, tmp_path):
+        """A robots.txt answered with 401 or 403 disallows the whole host
+        (robotparser.py:66-75): in ``filter_links``, in the rules it hands
+        the driver for the round stage, and after a snapshot restore.  Any
+        other failure stays a missing robots.txt, which allows all."""
+        from spidey_ray.state.politeness import CrawlSettings, HostShard
+
+        settings = CrawlSettings()
+        spec = ("spidey_ray.sources.synthetic_web", "make_fetch_fn", {})
+        host = "h.example.com"
+        links = {host: [(f"https://{host}/a", f"https://{host}/a")]}
+        for status in (401, 403):
+            hs = HostShard(settings, *spec)
+            hs.fetch = lambda u, s=status: (u, s, "")
+            r = hs.filter_links(links, [])[host]
+            assert r["mask"] == [False]
+            assert not r["allow_all"]
+            rules = RobotsRules.parse(r["robots_txt"])
+            assert not rules.can_fetch("spidey-ray", f"https://{host}/b?q=1")
+            snap = str(tmp_path / f"hosts{status}.json")
+            hs.checkpoint_hosts(snap)
+            back = HostShard(settings, *spec, snapshot_path=snap).hosts[host]
+            assert not back.can_fetch(f"https://{host}/", settings)
+        hs = HostShard(settings, *spec)
+        hs.fetch = lambda u: (u, 404, "")
+        r = hs.filter_links(links, [])[host]
+        assert r["mask"] == [True]
+        assert r["allow_all"]
+
 
 class TestSpanParser:
     def test_basic_spans_order(self):

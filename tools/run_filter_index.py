@@ -61,23 +61,11 @@ def main() -> None:
     elif args.pages:
         docs = documents_from_pages(ray.data.read_parquet(args.pages))
     else:
-        docs_dir = os.path.join(args.crawl_ckpt, "documents")
-        docs = ray.data.read_parquet(docs_dir)
-        excl_ids: set[str] = set()
-        for rd in sorted(os.listdir(args.crawl_ckpt)):
-            f = os.path.join(args.crawl_ckpt, rd, "excluded_docs.json")
-            if rd.startswith("round=") and os.path.exists(f):
-                with open(f) as fh:
-                    excl_ids.update(json.load(fh))
-        if excl_ids:
-            import pyarrow as pa
-            import pyarrow.compute as pc
+        from spidey_ray.pipelines.crawl import read_documents
 
-            excl = pa.array(sorted(excl_ids), type=pa.string())
-            docs = docs.map_batches(
-                lambda t, _e=excl: t.filter(
-                    pc.invert(pc.is_in(t["doc_id"], value_set=_e))),
-                batch_format="pyarrow")
+        docs = read_documents(args.crawl_ckpt)
+        if docs is None:
+            ap.error(f"{args.crawl_ckpt} holds no crawl documents")
 
     os.makedirs(args.out, exist_ok=True)
     res = run_filter_index(docs, args.out)
