@@ -24,17 +24,24 @@ phase methods that fill one record, ``_Round``; ``timings`` keys in brackets:
    partition: robots fetch-on-first-sighting (charging the politeness
    clock, scraper.py:68), sitemap ingestion, can_fetch gate.  Hosts known
    to be rule-free are bypassed on the driver.
-7. ``_add_rows_df`` [additions] — batched ``seen_or_add`` on the URL
+7. ``_add_rows`` [additions] — batched ``seen_or_add`` on the URL
    shards in canonical (url, parent) order; first-seen-wins
    (frontier.py:60-66).
 8. ``_boundary`` [boundary] — blacklist growth and the shard-side cancel.
 
-``run`` hands the record to ``_checkpoint`` [checkpoint]: the partitions
-write their own blobs, the driver the fetched delta and token partials,
-and last one ``manifest.json`` (layout, options, settings, gate state,
-blacklist, excluded documents, lineage row) that marks the round complete;
-``CrawlEngine.resume`` restarts from the last complete one (north_rule
-resumability).
+Admission also ends the crawl: a round whose partitions hold no pending
+row returns no record and writes nothing.  ``run`` hands each record to
+``_checkpoint`` [checkpoint]: the partitions write their own blobs, the
+driver the fetched delta and token partials, and last one
+``manifest.json`` (layout, options, settings, gate state, blacklist,
+excluded documents, lineage row with the round's own phase seconds) that
+marks the round complete; ``CrawlEngine.resume`` restarts from the last
+complete one (north_rule resumability).
+
+Every phase works on ``pa.Table``s: the driver holds O(round) Arrow
+tables (admitted rows, stage output, candidates, additions), orders them
+with stable ``pyarrow.compute`` sorts and ships them to the partitions as
+Arrow IPC; pandas appears only in ``EngineResult``'s eager accessors.
 
 Scale posture (10^10-frontier): driver memory is O(round).  The crawl
 state lives in one actor per partition index (state/partition.py),
@@ -91,7 +98,18 @@ def _round_stage_task(tbl: pa.Table, kwargs: dict) -> pa.Table:
     ``ray.put`` ref — shipped once per round, not once per block."""
     return round_process_batch(tbl, **kwargs)
 
-PENDING_COLS = ["url", "url_hash", "host", "depth", "parent_url", "round_added"]
+# The round's fetch-log delta, written as fetched_delta.parquet.
+FETCHED = pa.schema([
+    ("url", pa.string()), ("url_hash", pa.binary()), ("host", pa.string()),
+    ("depth", pa.int64()), ("parent_url", pa.string()),
+    ("round_fetched", pa.int64()), ("fetch_seq", pa.int64())])
+# The compact record columns the gates read, in PageRecord's field order.
+REC_FIELDS = ["url", "final_url", "status", "host", "depth", "parent_url",
+              "empty", "tag_count", "is_sitemap", "n_tokens", "simhash",
+              "title"]
+# A candidate outlink's columns, as _robots reads them.
+CAND_COLS = ["sorted_url", "orig_link", "norm_url", "url_hash", "host",
+             "depth", "parent_url"]
 
 # Version of the checkpoint's file layout, written to every round's
 # manifest.  Version 2 routes footprints by the seen key; version 3 writes
@@ -119,11 +137,6 @@ OPTIONS = dict(
 )
 
 
-def _empty_pending() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=o) for c, o in zip(
-        PENDING_COLS, ["object", "object", "object", "int64", "object", "int64"])})
-
-
 _NO_TOKENS = pa.table({"token": pa.array([], type=pa.string()),
                        "n": pa.array([], type=pa.int64())})
 
@@ -138,7 +151,7 @@ class _Round:
     rows_in_per_shard: list[int]       # pending rows of each host partition
     hot_host: str                      # the round's hottest host, "" if none
     hot_host_rows: int
-    fetched: pd.DataFrame | None = None   # fetch-log delta (_number_fetches)
+    fetched: pa.Table | None = None    # fetch-log delta (_number_fetches)
     stage_blocks: int = 0
     stage_max_block: int = 0
     content_bytes: int = 0             # of the fetched pages
@@ -147,6 +160,7 @@ class _Round:
     excluded_docs: list[str] = field(default_factory=list)
     new_patterns: list[NewPattern] = field(default_factory=list)
     host_count_inc: dict[str, int] = field(default_factory=dict)  # count_urls
+    phase_s: dict[str, float] = field(default_factory=dict)  # admit..boundary
 
     def lineage(self) -> dict:
         """The round's lineage row, kept in its manifest."""
@@ -157,7 +171,8 @@ class _Round:
             rows_in_per_shard=self.rows_in_per_shard,
             hot_host=self.hot_host, hot_host_rows=self.hot_host_rows,
             stage_blocks=self.stage_blocks,
-            stage_max_block=self.stage_max_block)
+            stage_max_block=self.stage_max_block,
+            phase_s=self.phase_s)
 
 
 def _quiet_data_context():
@@ -186,7 +201,7 @@ class EngineResult:
                  longest: list[tuple[int, str]], rounds: int,
                  ckpt_dir: str | None,
                  frontier_pool: "ShardedFrontier",
-                 fetched_frames: list[pd.DataFrame] | None = None,
+                 fetched_tables: list[pa.Table] | None = None,
                  token_part_refs: list | None = None):
         self.gate = gate
         self.blacklist = blacklist
@@ -198,7 +213,7 @@ class EngineResult:
                                if ckpt_dir else None)
         self._ckpt_dir = ckpt_dir
         self._frontier_pool = frontier_pool
-        self._fetched_frames = fetched_frames or []
+        self._fetched_tables = fetched_tables or []
         self._token_part_refs = token_part_refs
         self._fetched_cache: pd.DataFrame | None = None
         self._frontier_cache: pd.DataFrame | None = None
@@ -214,21 +229,14 @@ class EngineResult:
 
     def _fetched(self) -> pd.DataFrame:
         if self._fetched_cache is None:
-            frames = list(self._fetched_frames)
-            if self._ckpt_dir and not frames:
-                for f in self._round_files("fetched_delta.parquet"):
-                    # full-width read is intentional: every column feeds the
-                    # `frontier` property's fetched+pending concat
-                    fd = pq.read_table(f).to_pandas()
-                    if len(fd):
-                        fd["url_hash"] = fd["url_hash"].map(bytes)
-                        frames.append(fd)
-            if frames:
-                self._fetched_cache = pd.concat(
-                    frames, ignore_index=True).sort_values("fetch_seq")
-            else:
-                self._fetched_cache = _empty_pending().assign(
-                    fetch_seq=pd.Series(dtype="int64"))
+            # full-width read is intentional: every column feeds the
+            # `frontier` property's fetched+pending concat
+            tabs = self._fetched_tables or [
+                pq.read_table(f, schema=FETCHED)
+                for f in self._round_files("fetched_delta.parquet")]
+            self._fetched_cache = pa.concat_tables(
+                [FETCHED.empty_table(), *tabs]).to_pandas().sort_values(
+                    "fetch_seq", kind="mergesort")
         return self._fetched_cache
 
     # ---- eager accessors (test / small-run only) ----------------------
@@ -449,7 +457,7 @@ class CrawlEngine:
         # full fetch history is retained in driver memory ONLY for
         # checkpoint-less (test-scale) runs; with a ckpt_dir the per-round
         # fetched_delta parquet on disk IS the log (read back at result time)
-        self._fetched_frames: list[pd.DataFrame] = []
+        self._fetched_tables: list[pa.Table] = []
 
         self._restore(round_dirs[-1] if round_dirs else None)
         # the crawl state is one actor per partition index; the driver
@@ -511,34 +519,32 @@ class CrawlEngine:
 
     def _seed(self):
         urls = [urltools.normalize(u) for u in self.web_cfg.seeds()]
-        self._add_rows_df(pd.DataFrame({
-            "url": urls, "url_hash": [urltools.url_hash(u) for u in urls],
-            "host": [urltools.url_host(u) for u in urls], "depth": 0,
-            "parent_url": ""}), round_k=0)
+        self._add_rows(pa.table({
+            "url": pa.array(urls, pa.string()),
+            "url_hash": pa.array([urltools.url_hash(u) for u in urls],
+                                 pa.binary()),
+            "host": pa.array([urltools.url_host(u) for u in urls],
+                             pa.string()),
+            "depth": pa.array(np.zeros(len(urls), dtype=np.int64)),
+            "parent_url": pa.array([""] * len(urls), pa.string())}),
+            round_k=0)
 
-    def _add_rows_df(self, add_df: pd.DataFrame, round_k: int) -> int:
+    def _add_rows(self, add: pa.Table, round_k: int) -> int:
         """Canonically ordered additions with columns (url, url_hash, host,
         depth, parent_url) → first-seen-wins via the URL shards (also
-        within ``add_df``) → pending frontier rows for ``round_k``."""
-        if not len(add_df):
+        within ``add``) → pending frontier rows for ``round_k``."""
+        if not add.num_rows:
             return 0
-        keys = np.frombuffer(
-            b"".join(h[:8] for h in add_df["url_hash"]), dtype=">u8"
-        ).astype(np.uint64)
-        seen_mask = self.seen.seen_or_add(keys)
-        new = add_df[~seen_mask]
-        if not len(new):
+        heads = pc.binary_slice(add["url_hash"], 0, 8).to_pylist()
+        keys = np.frombuffer(b"".join(heads), dtype=">u8").astype(np.uint64)
+        new = add.filter(pa.array(~self.seen.seen_or_add(keys)))
+        if not new.num_rows:
             return 0
-        rows = pd.DataFrame({
-            "url": new["url"].values,
-            "url_hash": new["url_hash"].values,
-            "host": new["host"].values,
-            "depth": new["depth"].values.astype("int64"),
-            "parent_url": new["parent_url"].values,
-            "round_added": round_k,
-        })
-        self.frontier.add_df(rows)
-        return len(rows)
+        self.frontier.add_df(new.select(
+            ["url", "url_hash", "host", "depth", "parent_url"]).append_column(
+            "round_added",
+            pa.array(np.full(new.num_rows, round_k, dtype=np.int64))))
+        return new.num_rows
 
     # ------------------------------------------------------------------
     def run(self, max_rounds: int | None = None,
@@ -553,8 +559,10 @@ class CrawlEngine:
         limit = max_rounds if max_rounds is not None else self.settings.max_rounds
         round_k = self.start_round
         try:
-            while round_k < limit and self.frontier.total():
+            while round_k < limit:
                 rnd = self._run_round(round_k)
+                if rnd is None:         # the frontier is empty
+                    break
                 if self.ckpt_dir:
                     t0 = _time.perf_counter()
                     self._checkpoint(rnd)
@@ -573,53 +581,61 @@ class CrawlEngine:
                    "from")) from e
 
     # ------------------------------------------------------------------
-    def _t(self, phase: str, t0: float) -> float:
+    def _t(self, phase: str, t0: float, rnd: _Round | None = None) -> float:
+        """Charge the time since ``t0`` to ``phase``: summed over the crawl
+        in ``timings``, and the round's own in ``rnd.phase_s``."""
         import time as _time
 
         now = _time.perf_counter()
         self.timings[phase] = self.timings.get(phase, 0.0) + (now - t0)
+        if rnd is not None:
+            rnd.phase_s[phase] = now - t0
         return now
 
-    def _run_round(self, round_k: int) -> _Round:
+    def _run_round(self, round_k: int) -> _Round | None:
         """One round as a sequence of timed phases (the module docstring
-        lists them); returns the round's record for ``_checkpoint``."""
+        lists them); returns the round's record for ``_checkpoint``, or
+        None when the frontier holds no pending row: the crawl is done."""
         import time as _time
 
         t = _time.perf_counter()
         rnd, admitted = self._admit(round_k)
-        t = self._t("admit", t)
+        if not sum(rnd.rows_in_per_shard):
+            self._t("admit", t)
+            return None
+        t = self._t("admit", t, rnd)
         admitted = self._number_fetches(rnd, admitted)
-        if admitted.empty:
+        if not len(admitted):
             return rnd
         fp_refs = self._prefetch_footprints(admitted)
         inline = len(admitted) <= self.inline_threshold
         blocks = self._fetch_parse(rnd, admitted, inline)
         if not inline:
-            t = self._t("fetch_parse_exec", t)
-        # zero-copy block gather; only needed columns become pandas below
+            t = self._t("fetch_parse_exec", t, rnd)
+        # zero-copy block gather
         ctbl = pa.concat_tables(blocks)
-        t = self._t("fetch_parse", t)
-        rec_df, tokenized, passed = self._gates(rnd, ctbl, fp_refs)
-        t = self._t("gates", t)
+        t = self._t("fetch_parse", t, rnd)
+        rec, tokenized, passed = self._gates(rnd, ctbl, fp_refs)
+        t = self._t("gates", t, rnd)
         self._token_counts(rnd, ctbl, tokenized, passed)
-        t = self._t("token_counts", t)
-        cand_rows = self._link_check(rnd, ctbl, rec_df)
-        t = self._t("link_check", t)
+        t = self._t("token_counts", t, rnd)
+        cands = self._link_check(rnd, ctbl, rec)
+        t = self._t("link_check", t, rnd)
         # gate-phase counts must land before link-phase robots creation.  No
         # barrier: per-partition actor order serializes them before the
         # filter_links calls below; the refs drain at the checkpoint (or
         # result) purely to surface errors
         self._fp_put_refs.extend(self.frontier.count_urls(rnd.host_count_inc))
-        if len(cand_rows):
-            add_df = self._robots(cand_rows)
-            t = self._t("robots", t)
-            rnd.rows_out = self._add_rows_df(add_df, round_k + 1)
-            t = self._t("additions", t)
+        if cands.num_rows:
+            add = self._robots(cands)
+            t = self._t("robots", t, rnd)
+            rnd.rows_out = self._add_rows(add, round_k + 1)
+            t = self._t("additions", t, rnd)
         self._boundary(rnd)
-        self._t("boundary", t)
+        self._t("boundary", t, rnd)
         return rnd
 
-    def _admit(self, round_k: int) -> tuple[_Round, pd.DataFrame]:
+    def _admit(self, round_k: int) -> tuple[_Round, pa.Table]:
         """Politeness admission: each host partition admits from its own
         pending rows through its own politeness clocks; only the admitted
         window (O(round)) and a per-shard 3-field telemetry dict reach the
@@ -637,28 +653,29 @@ class CrawlEngine:
         n, h = max(hot) if hot else (0, "")
         rnd = _Round(round_k, [int(s["rows_in"]) for s in shard_stats],
                      h, int(n))
-        admitted = admitted.sort_values(
-            ["depth", "url"], kind="mergesort").reset_index(drop=True)
-        return rnd, admitted
+        # a stable sort; UTF-8 byte order is code-point order
+        return rnd, admitted.take(pc.sort_indices(
+            admitted, [("depth", "ascending"), ("url", "ascending")]))
 
-    def _number_fetches(self, rnd: _Round,
-                        admitted: pd.DataFrame) -> pd.DataFrame:
+    def _number_fetches(self, rnd: _Round, admitted: pa.Table) -> pa.Table:
         """Assign the canonical ``seq`` within the round and the global
         fetch order: ``rnd.fetched`` becomes the round's fetch-log delta
         (driver memory is O(round): the frontier stays sharded, history
         goes to disk).  Returns ``admitted`` with its ``seq`` column."""
-        admitted = admitted.assign(seq=np.arange(len(admitted), dtype=np.int64))
-        rnd.fetched = admitted.drop(columns=["round_added"]).assign(
-            round_fetched=rnd.k,
-            fetch_seq=self.fetch_seq + admitted["seq"].values,
-        ).drop(columns=["seq"]).reset_index(drop=True)
-        if not self.ckpt_dir and len(admitted):
+        seq = np.arange(len(admitted), dtype=np.int64)
+        rnd.fetched = (
+            admitted.drop_columns(["round_added"])
+            .append_column("round_fetched",
+                           pa.array(np.full(len(seq), rnd.k, dtype=np.int64)))
+            .append_column("fetch_seq", pa.array(self.fetch_seq + seq))
+            .cast(FETCHED))
+        if not self.ckpt_dir and len(seq):
             # no checkpoint log to read back later: keep in memory (test runs)
-            self._fetched_frames.append(rnd.fetched)
-        self.fetch_seq += len(admitted)
-        return admitted
+            self._fetched_tables.append(rnd.fetched)
+        self.fetch_seq += len(seq)
+        return admitted.append_column("seq", pa.array(seq))
 
-    def _prefetch_footprints(self, admitted: pd.DataFrame) -> list:
+    def _prefetch_footprints(self, admitted: pa.Table) -> list:
         """Submit the gates' footprint reads at ADMISSION time: the near-dup
         gates only ever look up the round's PARENT urls + the carried
         previous-page url, and the rec rows mirror the admitted rows 1:1
@@ -668,24 +685,19 @@ class CrawlEngine:
         and the gates (the round stage doesn't touch them), and actor order
         serializes these reads behind last round's puts — semantics
         identical to fetching at gate time."""
-        fp_keys = set(admitted["parent_url"]) - {""}
+        fp_keys = set(admitted["parent_url"].to_pylist()) - {""}
         if self.gate.previouspage:
             fp_keys.add(self.gate.previouspage)
         return (self.footprints.get_many_refs(sorted(fp_keys))
                 if fp_keys else [])
 
-    def _fetch_parse(self, rnd: _Round, admitted: pd.DataFrame,
+    def _fetch_parse(self, rnd: _Round, admitted: pa.Table,
                      inline: bool) -> list[pa.Table]:
         """ONE fused execution per round: fetch + parse + token partials +
         document side-writes + outlink checks (stages/round_stage.py), as
         raw tasks, or ``inline`` on the driver for tiny rounds.  Returns
         the output blocks."""
-        in_tbl = pa.table({
-            "seq": admitted["seq"].values,
-            "url": admitted["url"].astype(str).values,
-            "depth": admitted["depth"].values.astype("int32"),
-            "parent_url": admitted["parent_url"].astype(str).values,
-        })
+        in_tbl = admitted.select(["seq", "url", "depth", "parent_url"])
         stage_kwargs = dict(
             web_cfg=asdict(self.web_cfg),
             blacklist_patterns=self.blacklist.patterns(),
@@ -736,20 +748,14 @@ class CrawlEngine:
         return ray.get([task.remote(s, kwargs_ref) for s in slices])
 
     def _gates(self, rnd: _Round, ctbl: pa.Table,
-               fp_refs: list) -> tuple[pd.DataFrame, set[str], set[str]]:
+               fp_refs: list) -> tuple[pa.Table, set[str], set[str]]:
         """The sequential gates over the round's compact records in
         canonical order.  Fills ``rnd.new_patterns``,
         ``rnd.host_count_inc`` and ``rnd.content_bytes``; returns the
         records, the tokenized urls and the passed urls."""
-        rec_df = (
-            ctbl.filter(pc.equal(ctbl["kind"], "rec"))
-            .select(["seq", "url", "final_url", "status", "host", "depth",
-                     "parent_url", "empty", "tag_count", "is_sitemap",
-                     "n_tokens", "simhash", "title", "content_len"])
-            .to_pandas()
-            .sort_values("seq", kind="mergesort")
-        )
-        rnd.content_bytes = int(rec_df["content_len"].sum())
+        rec = ctbl.filter(pc.equal(ctbl["kind"], "rec"))
+        rec = rec.take(pc.sort_indices(rec["seq"]))
+        rnd.content_bytes = pc.sum(rec["content_len"]).as_py()
         # collect the footprint prefetch submitted at admission time (the
         # refs have been in flight for the whole fetch wave); gate against
         # a round-local dict, write the new footprints back after the
@@ -759,22 +765,16 @@ class CrawlEngine:
         is_blacklisted = self.blacklist.matcher()
         tokenized: set[str] = set()
         passed: set[str] = set()
-        for row in rec_df.itertuples(index=False):
-            rec = crawl_logic.PageRecord(
-                url=row.url, final_url=row.final_url, status=int(row.status),
-                host=row.host, depth=int(row.depth), parent_url=row.parent_url,
-                empty=bool(row.empty), tag_count=int(row.tag_count),
-                is_sitemap=bool(row.is_sitemap), n_tokens=int(row.n_tokens),
-                simhash=int(row.simhash), title=row.title,
-            )
+        for row in zip(*(rec[c].to_pylist() for c in REC_FIELDS)):
+            page = crawl_logic.PageRecord(*row)
             d = crawl_logic.apply_gates(
-                rec, self.gate, is_blacklisted, self._is_valid, self.settings)
+                page, self.gate, is_blacklisted, self._is_valid, self.settings)
             rnd.new_patterns.extend(d.new_patterns)
             if d.tokenized:
-                tokenized.add(rec.url)
-                _update_longest(self.longest, rec.n_tokens, rec.url)
+                tokenized.add(page.url)
+                _update_longest(self.longest, page.n_tokens, page.url)
             if d.passed:
-                passed.add(rec.url)
+                passed.add(page.url)
             if d.count_host is not None:
                 rnd.host_count_inc[d.count_host] = (
                     rnd.host_count_inc.get(d.count_host, 0) + 1)
@@ -785,7 +785,7 @@ class CrawlEngine:
             # at the next sync point only to surface shard errors
             self._fp_put_refs.extend(self.footprints.put_many(new_fp))
         self.gate.page_footprints = {}
-        return rec_df, tokenized, passed
+        return rec, tokenized, passed
 
     def _token_counts(self, rnd: _Round, ctbl: pa.Table,
                       tokenized: set[str], passed: set[str]) -> None:
@@ -805,88 +805,87 @@ class CrawlEngine:
         rnd.excluded_docs = sorted(tokenized - passed)
 
     def _link_check(self, rnd: _Round, ctbl: pa.Table,
-                    rec_df: pd.DataFrame) -> pd.DataFrame:
+                    rec: pa.Table) -> pa.Table:
         """The round's candidate outlinks minus those of gate-suppressed
-        pages, in (seq, link_idx) order; trap links append cancelling
-        patterns to ``rnd.new_patterns``."""
-        cand_tbl = (
-            ctbl.filter(pc.is_in(ctbl["kind"],
-                                 value_set=pa.array(["cand", "trap"])))
-            .select(["kind", "seq", "link_idx", "sorted_url", "orig_link",
-                     "norm_url", "url_hash", "host", "depth", "parent_url",
-                     "pattern", "reason", "temporary"])
-            .to_pandas()
-        )
+        pages (``CAND_COLS``, in block order; ``_robots`` sorts them);
+        trap links append cancelling patterns to ``rnd.new_patterns`` in
+        (seq, link_idx) order."""
+        links = ctbl.filter(pc.is_in(ctbl["kind"],
+                                     value_set=pa.array(["cand", "trap"])))
         if rnd.excluded_docs:
-            seq_of_url = dict(zip(rec_df.url, rec_df.seq))
-            suppressed_seqs = {seq_of_url[u] for u in rnd.excluded_docs}
-            cand_tbl = cand_tbl[~cand_tbl.seq.isin(suppressed_seqs)]
-        cand_tbl = cand_tbl.sort_values(["seq", "link_idx"], kind="mergesort")
-        for row in cand_tbl[cand_tbl.kind == "trap"].itertuples(index=False):
+            suppressed = rec.filter(pc.is_in(
+                rec["url"], value_set=pa.array(rnd.excluded_docs)))["seq"]
+            links = links.filter(pc.invert(pc.is_in(
+                links["seq"], value_set=suppressed.combine_chunks())))
+        traps = links.filter(pc.equal(links["kind"], "trap"))
+        traps = traps.take(pc.sort_indices(
+            traps, [("seq", "ascending"), ("link_idx", "ascending")]))
+        for pattern, reason, temporary in zip(
+                *(traps[c].to_pylist()
+                  for c in ("pattern", "reason", "temporary"))):
             rnd.new_patterns.append(
-                NewPattern(row.pattern, row.reason, bool(row.temporary), cancel=True))
-        return cand_tbl[cand_tbl.kind == "cand"]
+                NewPattern(pattern, reason, temporary, cancel=True))
+        return links.filter(pc.equal(links["kind"], "cand")).select(CAND_COLS)
 
-    def _robots(self, cand_rows: pd.DataFrame) -> pd.DataFrame:
+    def _robots(self, cands: pa.Table) -> pa.Table:
         """The robots gate through the host partitions, in canonical order.
-        Returns the robots-approved candidates plus the sitemap urls found,
-        canonically sorted and first-seen-deduplicated by url hash."""
-        cand_rows = cand_rows.sort_values(
-            ["sorted_url", "orig_link", "parent_url"], kind="mergesort")
+        Returns the robots-approved candidates plus the sitemap urls found
+        as (raw_url, parent_url, url, url_hash, host, depth) rows, sorted
+        by (raw_url, parent_url) and first-seen-deduplicated by url hash."""
+        cands = cands.take(pc.sort_indices(cands, [
+            ("sorted_url", "ascending"), ("orig_link", "ascending"),
+            ("parent_url", "ascending")]))
         # links to known hosts bypass the shard RPC: rule-free hosts are
         # constant-allow; rule-bearing known hosts were evaluated inside
         # the round stage (their rules shipped as round-start state)
-        known = self._host_allow_all | set(self._host_rules)
-        bypass_mask = cand_rows["host"].isin(known).to_numpy()
-        bypass = cand_rows[bypass_mask]
-        to_check = cand_rows[~bypass_mask]
-        groups = to_check.groupby("host", sort=False).indices
-        sorted_urls = to_check["sorted_url"].to_numpy()
-        orig_links = to_check["orig_link"].to_numpy()
-        depths = to_check["depth"].to_numpy()
-        results = self.frontier.filter_links(
-            {host: list(zip(sorted_urls[idx], orig_links[idx]))
-             for host, idx in groups.items()},
-            self.blacklist.patterns())
-        # robots-approved candidates: one global boolean mask instead
-        # of a frame slice + concat per host (each per-host mask lands
-        # at its group's positional indices, which preserve the
-        # canonical within-group order the shards received)
-        keep_mask = np.zeros(len(to_check), dtype=bool)
-        sm_rows: list[tuple[str, int]] = []
-        for host, idx in groups.items():
+        known = pa.array([*self._host_allow_all, *self._host_rules],
+                         pa.string())
+        keep = pc.is_in(cands["host"], value_set=known).to_numpy(
+            zero_copy_only=False).copy()
+        check = np.flatnonzero(~keep)
+        # the checked hosts' links, grouped by host in order of first
+        # appearance, with their row positions
+        links: dict[str, list[tuple[str, str]]] = {}
+        at: dict[str, list[int]] = {}
+        depth: dict[str, int] = {}
+        chk = cands.take(check)
+        for i, host, s, o, d in zip(
+                check.tolist(),
+                *(chk[c].to_pylist()
+                  for c in ("host", "sorted_url", "orig_link", "depth"))):
+            links.setdefault(host, []).append((s, o))
+            at.setdefault(host, []).append(i)
+            depth.setdefault(host, d)
+        results = (self.frontier.filter_links(links, self.blacklist.patterns())
+                   if links else {})
+        sm_urls: list[str] = []
+        sm_depths: list[int] = []
+        for host, idx in at.items():
             r = results[host]
-            keep_mask[idx] = np.asarray(r["mask"], dtype=bool)
-            depth = int(depths[idx[0]])
-            sm_rows.extend((u, depth) for u in r["unchecked"] + r["checked"])
+            keep[idx] = r["mask"]
+            sm = r["unchecked"] + r["checked"]
+            sm_urls += sm
+            sm_depths += [depth[host]] * len(sm)
             if r["allow_all"]:
                 self._host_allow_all.add(host)
             elif r.get("robots_txt"):
                 self._host_rules[host] = r["robots_txt"]
         self._trim_host_caches()
-        # row order differs from a per-host concat, which is immaterial:
-        # add_df is canonically re-sorted before the first-seen-wins dedup
-        cand_ok = pd.concat([bypass, to_check[keep_mask]])
-        add_df = pd.DataFrame({
-            "raw_url": cand_ok["sorted_url"].values,
-            "parent_url": cand_ok["parent_url"].values,
-            "url": cand_ok["norm_url"].values,
-            "url_hash": cand_ok["url_hash"].values,
-            "host": cand_ok["host"].values,
-            "depth": cand_ok["depth"].values.astype("int64"),
-        })
-        if sm_rows:
-            sm = pd.DataFrame({
-                "raw_url": [u for u, _ in sm_rows],
-                "parent_url": ["" for _ in sm_rows],
-                "url": [urltools.normalize(u) for u, _ in sm_rows],
-                "depth": [d for _, d in sm_rows],
-            })
-            sm["url_hash"] = sm["url"].map(urltools.url_hash)
-            sm["host"] = sm["url"].map(urltools.url_host)
-            add_df = pd.concat([add_df, sm[add_df.columns]], ignore_index=True)
-        add_df = add_df.sort_values(["raw_url", "parent_url"], kind="mergesort")
-        return add_df.drop_duplicates("url_hash", keep="first")
+        ok = cands.filter(pa.array(keep))
+        add = pa.table({
+            "raw_url": ok["sorted_url"], "parent_url": ok["parent_url"],
+            "url": ok["norm_url"], "url_hash": ok["url_hash"],
+            "host": ok["host"], "depth": ok["depth"].cast(pa.int64())})
+        if sm_urls:
+            norm = [urltools.normalize(u) for u in sm_urls]
+            add = pa.concat_tables([add, pa.table({
+                "raw_url": sm_urls, "parent_url": [""] * len(sm_urls),
+                "url": norm, "url_hash": [urltools.url_hash(u) for u in norm],
+                "host": [urltools.url_host(u) for u in norm],
+                "depth": sm_depths}, schema=add.schema)])
+        add = add.take(pc.sort_indices(
+            add, [("raw_url", "ascending"), ("parent_url", "ascending")]))
+        return _first_rows(add, "url_hash")
 
     def _boundary(self, rnd: _Round) -> None:
         """Round boundary (frontier.py:80-92): the round's new blacklist
@@ -959,10 +958,7 @@ class CrawlEngine:
             + self.seen.checkpoint_refs(rd, full=full)
         )
 
-        fd = rnd.fetched.copy()
-        fd["url_hash"] = fd["url_hash"].map(bytes)
-        pq.write_table(pa.Table.from_pandas(fd, preserve_index=False),
-                       os.path.join(rd, "fetched_delta.parquet"))
+        pq.write_table(rnd.fetched, os.path.join(rd, "fetched_delta.parquet"))
         pq.write_table(rnd.token_partial,
                        os.path.join(rd, "token_partials.parquet"))
         # json.dumps, not json.dump: only the one-shot form runs the C
@@ -1053,7 +1049,7 @@ class CrawlEngine:
             rounds=rounds_done,
             ckpt_dir=self.ckpt_dir,
             frontier_pool=self.frontier,
-            fetched_frames=self._fetched_frames,
+            fetched_tables=self._fetched_tables,
             token_part_refs=self._token_part_refs,
         )
 
@@ -1068,6 +1064,15 @@ def _update_longest(longest: list[tuple[int, str]], n: int, url: str) -> None:
     longest.append((n, url))
     longest.sort(key=lambda x: (-x[0], x[1]))
     del longest[10:]
+
+
+def _first_rows(t: pa.Table, key: str) -> pa.Table:
+    """The first row of ``t`` for each value of column ``key``, in the
+    order of ``t``."""
+    firsts = (t.select([key])
+              .append_column("_i", pa.array(np.arange(t.num_rows)))
+              .group_by(key, use_threads=False).aggregate([("_i", "min")]))
+    return t.take(np.sort(firsts["_i_min"].to_numpy()))
 
 
 def _complete_rounds(ckpt_dir: str, marker: str = MANIFEST) -> list[str]:

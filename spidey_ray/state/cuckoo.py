@@ -27,9 +27,14 @@ an approximate-membership structure that scales to a 10^10-URL frontier:
 - each shard checkpoints its own delta blobs under the round dir and
   restores from the chain of complete rounds (north_rule resumability).
 
-First-seen-wins semantics match frontier.py:60-66; false-positive rate at
-16-bit fingerprints is ~0.003%, and at test scale (10^2..10^4 URLs in a
-2^14-slot filter) collisions are absent, so oracle-equality tests are exact.
+First-seen-wins semantics match frontier.py:60-66.  A lookup compares the
+key's 16-bit fingerprint with the 2 buckets × 4 slots of each segment, so
+a segment at load α answers a false "seen" with probability about
+8·α/(2^16 − 1), up to 0.012 % when full, and the segments add up.  Every
+false positive silently drops a URL.  Measured at 10^6 random keys (5
+segments): 484 of 10^6 disjoint probes (0.048 %) and 320 of the 10^6 first
+inserts reported as seen.  At test scale (10^2..10^4 URLs in a 2^14-slot
+filter) collisions are absent, so oracle-equality tests are exact.
 """
 
 from __future__ import annotations
@@ -270,8 +275,9 @@ class ScalableCuckoo:
       the insert sequence, so delta-checkpoint replay reproduces an
       equivalent (membership-identical) structure.
 
-    False-positive rate grows additively per segment (~0.003% each at
-    16-bit fingerprints); with O(log n) segments it stays ~0.01%.
+    False-positive rate grows additively per segment (up to 0.012 % each
+    at 16-bit fingerprints, see the module docstring), so with O(log n)
+    segments it grows with log n: 0.048 % measured at 5 segments.
     """
 
     GROW_AT = 0.94

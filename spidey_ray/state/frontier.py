@@ -9,8 +9,8 @@ frontier is explicitly hash-partitioned by host (north_star) and admission
 runs inside one actor: the shard's per-host candidate counts go straight to
 its own politeness clocks, and only the admitted prefix (O(round)) reaches
 the driver.  Rows cross the actor boundary as Arrow IPC stream bytes, never
-as pickled tables, which would load ``ray.data`` into the actor; pandas is
-the driver facade's alone.  Each partition:
+as pickled tables, which would load ``ray.data`` into the actor; only the
+driver facade's ``dump`` converts rows to pandas.  Each partition:
 
 - keeps per-host row lists and serves politeness admission as "first k rows
   of the host in canonical (depth, url) order" — the same per-host prefix
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
@@ -439,27 +440,27 @@ class ShardedFrontier:
             if part])
         return {host: r for out in outs for host, r in out.items()}
 
-    def add_df(self, df: pd.DataFrame) -> None:
-        if not len(df):
+    def add_df(self, t: pa.Table) -> None:
+        """Add frontier rows (the ``_FRONTIER`` columns) to the partitions
+        of their hosts, as one IPC blob per partition."""
+        if not t.num_rows:
             return
         # one sha1 per UNIQUE host, not per row (hosts ≪ rows)
-        shard_of = {h: host_shard_of(h, self.n_shards)
-                    for h in df["host"].unique()}
-        shard_idx = df["host"].map(shard_of).to_numpy()
-        refs = []
-        for s in range(self.n_shards):
-            part = df[shard_idx == s]
-            if len(part):
-                refs.append(self.shards[s].add.remote(to_ipc(
-                    pa.Table.from_pandas(part[_FRONTIER.names],
-                                         preserve_index=False))))
+        hosts = pc.unique(t["host"])
+        shard_of = np.array([host_shard_of(h, self.n_shards)
+                             for h in hosts.to_pylist()], dtype=np.int64)
+        shard_idx = shard_of[pc.index_in(t["host"], value_set=hosts)
+                             .to_numpy()]
+        rows = t.select(_FRONTIER.names)
+        refs = [self.shards[s].add.remote(to_ipc(rows.filter(shard_idx == s)))
+                for s in np.unique(shard_idx).tolist()]
         ray.get(refs)
 
-    def admit_with(self, round_k: int) -> tuple[pd.DataFrame, list[dict]]:
+    def admit_with(self, round_k: int) -> tuple[pa.Table, list[dict]]:
         """Shard-parallel admission (see HostPartition.admit_with): returns
         (admitted rows, per-shard telemetry)."""
         parts = ray.get([s.admit_with.remote(round_k) for s in self.shards])
-        return (pa.concat_tables([from_ipc(b) for b, _ in parts]).to_pandas(),
+        return (pa.concat_tables([from_ipc(b) for b, _ in parts]),
                 [st for _, st in parts])
 
     def cancel(self, patterns: list[str]) -> list[bytes]:

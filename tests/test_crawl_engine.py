@@ -600,6 +600,36 @@ class TestCuckoo:
         absent = np.arange(20_000, 40_000, dtype=np.uint64)
         assert f.contains(absent).sum() < 40          # fp rate still tiny
 
+    def test_false_positive_rate_at_a_million_keys(self):
+        """The seen set's error budget: 10^6 random keys, added in 20
+        batches, grow a ScalableCuckoo to 5 segments.  A lookup compares
+        2 buckets × 4 slots of 16-bit fingerprints (0 is the empty
+        sentinel) per segment, so the false-positive rate is at most
+        8 / (2^16 - 1) per segment, and about 8·load / (2^16 - 1) at a
+        segment's load.  Both the first inserts reported as seen and the
+        disjoint probes reported as present stay under that bound, and
+        the probes match the load-weighted rate."""
+        from spidey_ray.state.cuckoo import ScalableCuckoo
+
+        rng = np.random.default_rng(20231)
+        keys = rng.permutation(np.unique(
+            rng.integers(0, 2**63, size=2_000_100, dtype=np.uint64)))
+        n = 10**6
+        load, probe = keys[:n], keys[n:2 * n]
+        f = ScalableCuckoo()
+        first_fp = sum(int(f.seen_or_add(b).sum())
+                       for b in np.array_split(load, 20))
+        probe_fp = int(f.contains(probe).sum())
+        assert len(f.segments) == 5
+        per_slot = 1 / (2**16 - 1)
+        bound = n * len(f.segments) * 2 * f.slots * per_slot     # 610
+        expect = n * sum(2 * s.count / s.n_buckets * per_slot
+                         for s in f.segments)                   # 468
+        # each insert met a filter no fuller than the final one
+        assert 0 < first_fp <= expect + 5 * np.sqrt(expect) < bound
+        assert abs(probe_fp - expect) <= 5 * np.sqrt(expect)
+        assert probe_fp / n < 0.0006        # the documented 0.048 %
+
     def test_kick_exhaustion_unwinds_no_key_lost(self):
         # on kick-chain exhaustion the swap chain used to orphan the final
         # evicted fingerprint (silent false negative) — it must unwind so
@@ -992,3 +1022,135 @@ class TestRetryIdempotency:
         assert files1 == files2 == ["part-000000000.parquet"]
         assert rows1 == rows2
         assert out1.to_pydict() == out2.to_pydict()
+
+
+class _LinksStub:
+    """A ShardedFrontier stand-in that answers ``filter_links`` from a
+    fixed per-host table and records each call."""
+
+    def __init__(self, answers: dict[str, dict]):
+        self.answers = answers
+        self.calls: list[dict] = []
+
+    def filter_links(self, links_by_host, blacklist_patterns):
+        self.calls.append(links_by_host)
+        return {h: {"unchecked": [], "checked": [], "allow_all": True,
+                    **self.answers[h](links)}
+                for h, links in links_by_host.items()}
+
+
+class TestArrowRoundPath:
+    """The round phases work on Arrow tables: ``_robots`` keeps the
+    canonical order and first-seen-wins, and no phase uses pandas."""
+
+    A1, C2 = "https://a.example.com/1", "https://c.example.com/2"
+
+    @staticmethod
+    def _engine(stub):
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.pipelines.crawl_logic import BlacklistState
+
+        eng = CrawlEngine.__new__(CrawlEngine)
+        eng.frontier = stub
+        eng.blacklist = BlacklistState()
+        eng._host_allow_all = {"a.example.com"}
+        eng._host_rules = {"r.example.com": "User-agent: *\nDisallow: /no"}
+        return eng
+
+    @staticmethod
+    def _cands(rows: list[tuple[str, int, str]]):
+        """Candidate outlinks from (link, depth, parent_url) rows."""
+        import pyarrow as pa
+
+        from spidey_ray.functions import urltools
+        from spidey_ray.pipelines.crawl import CAND_COLS
+        from spidey_ray.stages.round_stage import ROUND_SCHEMA
+
+        cols = {c: [] for c in CAND_COLS}
+        for link, depth, parent in rows:
+            norm = urltools.normalize(link)
+            for c, v in zip(CAND_COLS, (
+                    link, link, norm, urltools.url_hash(norm),
+                    urltools.url_host(link), depth, parent)):
+                cols[c].append(v)
+        return pa.table(cols, schema=pa.schema(
+            [ROUND_SCHEMA.field(c) for c in CAND_COLS]))
+
+    def test_canonical_order_and_first_seen_wins(self):
+        """One round: ``b/x`` is reached from two parents and is also in
+        ``c``'s sitemap, ``a/w`` from two parents; ``a`` (rule-free) and
+        ``r`` (rules known) bypass the partitions, ``b`` and ``c`` are
+        checked there.  The sitemap row (parent "") sorts first and wins
+        ``b/x``; the parent that sorts first wins ``a/w``."""
+        stub = _LinksStub({
+            "b.example.com": lambda links: {
+                "mask": [not s.endswith("/private") for s, _ in links],
+                "allow_all": False, "robots_txt": "Disallow: /private"},
+            "c.example.com": lambda links: {
+                "mask": [True] * len(links),
+                "unchecked": ["https://b.example.com/x"],
+                "checked": ["https://c.example.com/s1/"]},
+        })
+        eng = self._engine(stub)
+        out = eng._robots(self._cands([
+            ("https://r.example.com/q", 3, self.C2),
+            ("https://b.example.com/x", 3, self.C2),
+            ("https://a.example.com/w", 3, self.C2),
+            ("https://c.example.com/z", 2, self.A1),
+            ("https://b.example.com/private", 2, self.A1),
+            ("https://b.example.com/x", 2, self.A1),
+            ("https://a.example.com/w", 2, self.A1),
+        ]))
+        assert len(stub.calls) == 1
+        assert stub.calls[0] == {
+            "b.example.com": [
+                ("https://b.example.com/private",) * 2,
+                ("https://b.example.com/x",) * 2,
+                ("https://b.example.com/x",) * 2],
+            "c.example.com": [("https://c.example.com/z",) * 2]}
+        # sitemap rows take the depth of their host's first canonical row
+        assert list(zip(*(out[c].to_pylist() for c in (
+            "raw_url", "parent_url", "url", "depth")))) == [
+            ("https://a.example.com/w", self.A1, "https://a.example.com/w", 2),
+            ("https://b.example.com/x", "", "https://b.example.com/x", 2),
+            ("https://c.example.com/s1/", "", "https://c.example.com/s1", 2),
+            ("https://c.example.com/z", self.A1, "https://c.example.com/z", 2),
+            ("https://r.example.com/q", self.C2, "https://r.example.com/q", 3),
+        ]
+        from spidey_ray.functions.urltools import url_hash
+
+        assert out["url_hash"].to_pylist() == [
+            url_hash(u) for u in out["url"].to_pylist()]
+        assert eng._host_allow_all == {"a.example.com", "c.example.com"}
+        assert set(eng._host_rules) == {"r.example.com", "b.example.com"}
+
+    def test_empty_candidate_set(self):
+        stub = _LinksStub({})
+        out = self._engine(stub)._robots(self._cands([]))
+        assert stub.calls == []
+        assert out.num_rows == 0
+        assert out.column_names == ["raw_url", "parent_url", "url",
+                                    "url_hash", "host", "depth"]
+
+    def test_round_phases_use_no_pandas(self):
+        """No round phase names ``pd`` or calls ``to_pandas``."""
+        import ast
+        import inspect
+        import textwrap
+
+        from spidey_ray.pipelines.crawl import CrawlEngine
+        from spidey_ray.state.frontier import ShardedFrontier
+
+        phases = [getattr(CrawlEngine, m) for m in (
+            "_seed", "_add_rows", "run", "_run_round", "_admit",
+            "_number_fetches", "_prefetch_footprints", "_fetch_parse",
+            "_gates", "_token_counts", "_link_check", "_robots",
+            "_boundary", "_checkpoint")]
+        phases += [ShardedFrontier.add_df, ShardedFrontier.admit_with]
+        for fn in phases:
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            attrs = {n.attr for n in ast.walk(tree)
+                     if isinstance(n, ast.Attribute)}
+            assert "pd" not in names, fn.__qualname__
+            assert "to_pandas" not in attrs, fn.__qualname__

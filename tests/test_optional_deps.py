@@ -149,7 +149,9 @@ class TestTableSeam:
             assert len(back) == t.num_rows, name
             assert set(back.columns) == set(t.column_names), name
             one = t.column_names[0]
-            pruned = sio.read_table(p, columns=[one]).schema().names
+            # the column list of the executed read: a schema() call on the
+            # lazy plan would run a limit(1) probe that cancels tasks
+            pruned = list(sio.read_table(p, columns=[one]).to_pandas().columns)
             assert pruned == [one], name
 
 
