@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 import ray.data
 
 # the schema-hash log-noise filter and the engine's DataContext settings
-import spidey_ray.io  # noqa: F401
+from spidey_ray.io import exchange, hash_bucket
 
 
 def _quiet():
@@ -292,26 +292,15 @@ def q_grouped_topk(sf_dir: str):
     bucket, not the raw custkey (one group per customer is millions of
     near-singleton groups at scale); top-k per key is vectorized inside."""
 
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(df["o_custkey"], index=False,
-                                       hash_key="spidey-topk-0000",
-                                       categorize=False)
-        df["_bucket"] = (h % 64).astype("int32")
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["o_totalprice", "o_orderkey"],
                           ascending=[False, True], kind="mergesort")
-        return g.groupby("o_custkey", sort=False).head(2) \
-            .drop(columns=["_bucket"])
+        return g.groupby("o_custkey", sort=False).head(2)
 
-    return (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"]),
+        lambda t: hash_bucket(t["o_custkey"], 64, "spidey-topk-0000"),
+        per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -413,30 +402,18 @@ def q_tfidf(sf_dir: str):
             "tf": pa.array(tfs, type=pa.int64()),
         })
 
-    def bucket(t: pa.Table) -> pa.Table:
-        # vectorized bucket hash (pandas C hash, categorize=False — see
-        # stages/joins.py note on NUL truncation) instead of a per-token
-        # Python crc32 loop
-        h = pd.util.hash_pandas_object(
-            t["token"].to_pandas(), index=False,
-            hash_key="spidey-tfid-0000", categorize=False)
-        return t.append_column(
-            "_bucket", pa.array((h % 256).astype(np.int32).to_numpy()))
-
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # token-hash fat buckets (one group per token would be vocab-many
         # near-singleton groups at scale); df + tf-idf fully vectorized
         df = g.groupby("token")["tf"].transform("size").to_numpy()
         idf = np.log10(n_docs / df)
         tfidf = np.round((1 + np.log10(g["tf"].to_numpy())) * idf, 4)
-        return g.assign(tfidf=tfidf).drop(columns=["_bucket"])
+        return g.assign(tfidf=tfidf)
 
-    return (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-    )
+    return exchange(
+        docs.map_batches(explode, batch_format="pyarrow"),
+        lambda t: hash_bucket(t["token"], 256, "spidey-tfid-0000"),
+        score_bucket)
 
 
 def q_events_hourly(sf_dir: str):
@@ -455,25 +432,16 @@ def q_events_hourly(sf_dir: str):
         return g.groupby(["event_type", "hour_epoch"], as_index=False).agg(
             n=("n", "sum"), sum_value=("sum_value", "sum"))
 
-    def fat_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def fat_bucket(t: pa.Table) -> np.ndarray:
         # exact-key groupby would make one near-singleton shuffle group
         # per (type, hour) — tens of thousands; fold them into 64 fat
-        # buckets instead (measured: 3.7 → 1.8 s warm at sf0.1)
-        h = (pd.util.hash_pandas_object(
-                g["event_type"], index=False, hash_key="spidey-evhour-00",
-                categorize=False).to_numpy().astype("uint64")
-             ^ g["hour_epoch"].to_numpy().astype("uint64"))
-        g["_b"] = (h % 64).astype("int32")
-        return g
+        # buckets instead (measured: 3.7 → 1.8 s warm at sf0.1).  The
+        # bucket is (hash(type) ^ hour) % 64, taken mod 64 per term.
+        return hash_bucket(t["event_type"], 64, "spidey-evhour-00") ^ (
+            t["hour_epoch"].to_numpy() % 64).astype(np.int32)
 
-    out = (
-        ds.map_batches(lambda df: fat_bucket(bucket(df)),
-                       batch_format="pandas")
-        .groupby("_b")
-        .map_groups(lambda g: fold(g.drop(columns=["_b"])),
-                    batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(ds.map_batches(bucket, batch_format="pandas"),
+                   fat_bucket, fold).to_pandas()
     out["n"] = out["n"].astype("int64")
     out["sum_value"] = out["sum_value"].round(2)
     return out
@@ -520,23 +488,15 @@ def q_events_pivot(sf_dir: str):
             out[c] = g[t].astype("int64")
         return out
 
-    def fat_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # one shuffle group per user is millions of near-singleton
-        # groups at scale — fold user ids into 64 fat buckets
-        g["_b"] = (g["user_id"].to_numpy().astype("uint64") % 64).astype(
-            "int32")
-        return g
-
-    out = (
+    # one shuffle group per user is millions of near-singleton groups at
+    # scale — fold user ids into 64 fat buckets
+    out = exchange(
         _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(lambda df: fat_bucket(partial(df)),
-                     batch_format="pandas")
-        .groupby("_b")
-        .map_groups(
-            lambda g: g.groupby("user_id", as_index=False)[cols].sum(),
-            batch_format="pandas")
-        .to_pandas()
-    )
+        .map_batches(partial, batch_format="pandas"),
+        lambda t: (t["user_id"].to_numpy().astype("uint64") % 64)
+        .astype("int32"),
+        lambda g: g.groupby("user_id", as_index=False)[cols].sum(),
+    ).to_pandas()
     out["user_id"] = out["user_id"].astype("int64")
     for c in cols:
         out[c] = out[c].astype("int64")
@@ -555,7 +515,7 @@ def q_sessionize(sf_dir: str):
     out["session_id"] = out["session_id"].astype("int64")
     out["session_start_us"] = out["session_start_us"].astype("int64")
     out["n_events"] = out["n_events"].astype("int64")
-    # map_groups emission order is nondeterministic: return canonically sorted
+    # exchange emission order is nondeterministic: return canonically sorted
     # so the driver's value hash is stable across runs
     return out.sort_values(["user_id", "session_id"]).reset_index(drop=True)
 
@@ -2907,8 +2867,9 @@ def oracle_sql() -> dict[str, str]:
         """,
         # data-mix rebalance: the rate derivation mirrors
         # sampling.mix_to_proportions literally (same op order → same IEEE
-        # doubles → same md5-rank threshold hex), thresholds per
-        # sampling._thresh_hex (floor(rate·2³²) as 8 lowercase hex chars).
+        # doubles → same md5-rank threshold), thresholds per
+        # sampling._thresh (floor(rate·2³²), compared with the rank's
+        # 8 lowercase hex chars as strings here).
         "domain_mix": """
             with shares as (
                 select * from (values

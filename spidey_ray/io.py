@@ -7,6 +7,10 @@ directory with identical semantics (a directory per table, atomic
 write-to-temp-then-rename, resumable layout).  All call sites go through
 ``read_table`` / ``write_table`` so swapping the format is a no-op for the
 engine.
+
+It also holds the engine's Ray Data settings and plan helpers: the
+per-block driver merge (``block_partials``) and the one exchange
+(``exchange``, routed by ``hash_bucket``).
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import os
 import shutil
 import uuid
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -108,6 +114,71 @@ def block_partials(ds: "ray.data.Dataset", fn):
             if len(part):
                 yield part
 
+
+
+def hash_bucket(values, n: int, salt: str) -> np.ndarray:
+    """The engine's one bucket-routing hash: int32 ids in ``[0, n)``.
+
+    ``values`` is one key column (a pandas Series or an Arrow array) or
+    several (a DataFrame or ``pa.Table``, joined per row as their string
+    forms separated by ``"\x1f"``).  ``salt`` is the site's 16-byte
+    ``hash_key``, so every site keeps its own routing.  ``categorize=False``:
+    factorize's C hashtable truncates strings at NUL and would collide
+    distinct composite keys."""
+    if isinstance(values, (pa.Table, pa.Array, pa.ChunkedArray)):
+        values = values.to_pandas()
+    if isinstance(values, pd.DataFrame):
+        key = values.iloc[:, 0]
+        if values.shape[1] > 1:
+            # vectorized concat: .agg("\x1f".join, axis=1) is a per-row
+            # Python loop over the same strings
+            key = key.astype(str)
+            for c in values.columns[1:]:
+                key = key + "\x1f" + values[c].astype(str)
+        values = key
+    h = pd.util.hash_pandas_object(values, index=False, hash_key=salt,
+                                   categorize=False)
+    return (h % n).astype(np.int32).to_numpy()
+
+
+def exchange(ds: "ray.data.Dataset", by, fn,
+             batch_format: str = "pandas") -> "ray.data.Dataset":
+    """``ds.groupby(by).map_groups(fn)``, the engine's one exchange.
+
+    ``by`` is a column of ``ds``, or a function from an Arrow batch to its
+    int32 bucket ids (usually :func:`hash_bucket`), appended as
+    ``_bucket`` in one map.  ``fn`` gets each group in ``batch_format``
+    without the ``_bucket`` column; a DataFrame it returns leaves as Arrow
+    (:func:`pd_to_arrow`).
+
+    The input is materialized before the shuffle: Ray 2.49 reserves a CPU
+    for every operator of a plan, so a map chained into an exchange runs
+    about one task at a time, while an exchange buffers its whole input
+    anyway.  Materializing ends the plan there and gives the map side the
+    whole cluster (a warm filter+index build of 1,739 documents went from
+    about 20.5 s to 11.6 s in a local 4-CPU Ray session)."""
+    key = by
+    if callable(by):
+        key = "_bucket"
+
+        def tag(t: pa.Table) -> pa.Table:
+            return t.append_column("_bucket",
+                                   pa.array(by(t), type=pa.int32()))
+
+        ds = ds.map_batches(tag, batch_format="pyarrow")
+
+    def run(g):
+        if isinstance(g, pa.Table):
+            if "_bucket" in g.column_names:
+                g = g.drop_columns(["_bucket"])
+        elif "_bucket" in g.columns:
+            g = g.drop(columns=["_bucket"])
+        out = fn(g)
+        return pd_to_arrow(out) if isinstance(out, pd.DataFrame) else out
+
+    run.__name__ = getattr(fn, "__name__", "exchange")
+    return ds.materialize().groupby(key).map_groups(
+        run, batch_format=batch_format)
 
 def pd_to_arrow(df) -> "pa.Table":
     """pandas → Arrow with the pandas schema metadata stripped.

@@ -62,6 +62,9 @@ driver — and each round records the checkpoint layout version and the
 engine's options, which ``resume`` checks and reuses.  Blacklist growth is round-synchronized
 (SURVEY.md §7.5.3).  Tiny rounds run the same stage function inline on the
 driver — no per-execution overhead, identical semantics.
+
+Exchanges: the round runs none; ``EngineResult.top_tokens`` runs the
+module's one ``io.exchange`` over the per-round token partials.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .. import io  # noqa: F401  (the engine's DataContext settings)
+from ..io import exchange, hash_bucket
 from ..functions import urltools
 from ..sources import synthetic_web as sw
 from ..state.cuckoo import ShardedFootprints, ShardedSeen, key64
@@ -344,29 +347,15 @@ class EngineResult:
                 return []
             src = ray.data.read_parquet(files)
 
-        def bucket(t: pa.Table) -> pa.Table:
-            h = pd.util.hash_pandas_object(
-                t["token"].to_pandas(), index=False,
-                hash_key="spidey-tok-00000", categorize=False)
-            return t.append_column(
-                "_b", pa.array((h % 256).astype(np.int32).to_numpy()))
-
         def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
             agg = g.groupby("token", as_index=False)["n"].sum()
             return agg.sort_values(["n", "token"], ascending=[False, True],
                                    kind="mergesort").head(k)
 
-        # the bucket map is materialized before the exchange: in one plan
-        # Ray 2.49 reserves a CPU for each operator, which leaves the map
-        # side one task at a time (pipelines/filter_index.py)
-        top = (
-            src
-            .map_batches(bucket, batch_format="pyarrow")
-            .materialize()
-            .groupby("_b")
-            .map_groups(per_bucket, batch_format="pandas")
-            .to_pandas()        # ≤ 256·k rows
-        )
+        top = exchange(
+            src, lambda t: hash_bucket(t["token"], 256, "spidey-tok-00000"),
+            per_bucket,
+        ).to_pandas()           # ≤ 256·k rows
         top = top.sort_values(["n", "token"], ascending=[False, True],
                               kind="mergesort").head(k)
         return [(t, int(n)) for t, n in zip(top["token"], top["n"])]

@@ -14,9 +14,10 @@ Composition rules (what makes this 100 TB-shaped rather than a script):
   count aggregation on a slice of the CURRENT survivors and broadcast
   once via ``ray.put`` — scoring and gating happen inline in the same
   batch pass, so the corpus-sized score table never exists;
-- the only exchanges are the ones the semantics force: MinHash banding
-  (fat-bucketed, capped — ``stages/dedup.py``) and the tiny per-group
-  count pass of the mix rebalance.
+- the only exchanges are the ones the semantics force: the LM's n-gram
+  count merge and MinHash banding plus its pair dedup (fat-bucketed,
+  capped — ``stages/dedup.py``), three ``io.exchange`` runs in all; the
+  mix rebalance counts per block and merges on the driver.
 
 Each constituent operator keeps its own DuckDB oracle (c4_line_filter,
 strip_repeated_lines, gopher_repetition, lm_perplexity, domain_mix,
@@ -171,14 +172,16 @@ def curate(docs: "ray.data.Dataset", *,
 
     # the LM scoring pass likewise runs once; MinHash consumes the
     # survivors twice (banding + survivor filter) and the mix rebalance
-    # twice more (count pass + sample pass), all against cached blocks.
+    # reads MinHash's survivors twice (count pass + sample pass), so those
+    # are pinned too: all four read cached blocks.
     gated = _persist(cleaned.map_batches(lm_gate, batch_format="pyarrow"),
                      checkpoint_dir, "gated")
     cleaned = None  # drop the pin; only `gated` feeds downstream
 
     # 5. near-dedup, 6. mix
-    deduped = minhash_dedup(gated, threshold=minhash_threshold,
-                            text_col=text_col)
+    deduped = _persist(minhash_dedup(gated, threshold=minhash_threshold,
+                                     text_col=text_col),
+                       checkpoint_dir, "deduped")
     if mix_key and mix_shares:
         return mix_to_proportions(deduped, mix_key, id_col, mix_shares)
     return deduped

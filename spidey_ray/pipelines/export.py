@@ -11,12 +11,15 @@ directory per shard (``shard=NNNNN/part.parquet`` + ``_SUCCESS``), so
   (the shuffle is deterministic at any block layout or cluster size),
   so resumed and fresh exports are indistinguishable.
 
-The write happens INSIDE the per-shard ``map_groups`` task — shards
+The write happens INSIDE the per-shard ``io.exchange`` task — shards
 write in parallel across the cluster against shared storage, the driver
 sees only the n_shards-row summary.  This generalizes the crawl
 checkpoint's discipline (a round directory that counts only once its
 marker, the manifest, is in place: ``CrawlEngine._checkpoint``) to corpus
 export.
+
+Exchanges: two, the shuffle's and the per-shard write (``io.exchange`` on
+``shard_id``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..io import pd_to_arrow
+from ..io import exchange, pd_to_arrow
 from ..stages.sampling import shuffle_to_shards
 
 
@@ -65,8 +68,7 @@ def export_shards(ds: "ray.data.Dataset", out_dir: str, id_col: str,
             pass
         return summary(False)
 
-    return (sharded.groupby("shard_id")
-            .map_groups(write_shard, batch_format="pandas")
+    return (exchange(sharded, "shard_id", write_shard)
             .to_pandas().sort_values("shard_id").reset_index(drop=True))
 
 

@@ -7,8 +7,8 @@ k-way merge (SURVEY.md §2.1 S7/S8):
 
 1. ``filter_prepare_batch``: compact per-doc features (40 bytes/doc — spans
    never enter the dedup shuffle),
-2. exact dedup by doc_id (``groupby(_db)``, first-in-crawl-order-wins) +
-   bucketed simhash near-dup (``groupby(len_bucket).map_groups``)
+2. exact dedup by doc_id (a doc_id-hash exchange, first-in-crawl-order
+   wins) + bucketed simhash near-dup (an exchange on ``len_bucket``)
    (Filter.py:49-51, 94-110),
 3. doc-number assignment by crawl order (the reference's
    enumeration-order doc ids, Indexer.py:96; SURVEY.md §2.9): a stable
@@ -17,26 +17,19 @@ k-way merge (SURVEY.md §2.1 S7/S8):
    a distributed ``sort(crawl_seq)`` rank plus a docs ⋈ doc-numbers hash
    join instead,
 4. doc_meta, written key-sorted (``sort(doc_id)`` + ``repartition``),
-5. ``emit_postings_batch`` + ``groupby(bucket).map_groups`` for
+5. ``emit_postings_batch`` + an exchange on ``bucket`` for
    df/tf-idf/per-stem ordering — replacing offload files, k-way merge and
    the post-index scoring rewrite (Indexer.py:142-173) — then a
    ``repartition`` to compact the files.
 
-That is six exchanges on the broadcast path — four shuffles
-(``groupby(_db)``, ``groupby(len_bucket)``, ``sort(doc_id)``,
-``groupby(bucket)``) and two repartitions — and eight on the scale path,
-which adds ``sort(crawl_seq)`` and the join's shuffle.
+That is six exchanges on the broadcast path — four shuffles (three
+``io.exchange`` groupings, on the doc_id hash, ``len_bucket`` and
+``bucket``, and ``sort(doc_id)``) and two repartitions — and eight on the
+scale path, which adds ``sort(crawl_seq)`` and the join's exchange.
 
-**Every exchange's input is materialized** (all of the above but the
-join's shuffle inside ``stages.joins.hash_join``, whose map side only tags
-columns).  Ray 2.49's streaming executor reserves at least one CPU for
-every operator of a plan, including those downstream of an exchange that
-cannot start until it finishes; with a map → exchange chain in one plan,
-the map side therefore runs about one task at a time.  An exchange buffers
-its whole input before shuffling anyway, so ending the plan there costs no
-memory and gives the map side the whole cluster (measured in a local
-4-CPU Ray session: a warm build of 1,739 documents went from about 20.5 s
-to 11.6 s).
+**Every exchange's input is materialized** (``io.exchange`` does it for
+the groupings and the join; its docstring gives the reason and the
+measurement).
 """
 
 from __future__ import annotations
@@ -173,35 +166,19 @@ def run_filter_index(
     # is the shuffle key and min-crawl_seq per doc_id is a vectorized
     # idxmin inside each bucket (idxmin = stable-sort head(1): first
     # occurrence of the minimum wins ties, same as before)
-    def _docid_bucket(t: pa.Table, num_buckets: int = 256) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t["doc_id"].to_pandas(), index=False,
-            hash_key="spidey-fidx-0000", categorize=False)
-        return t.append_column(
-            "_db", pa.array((h % num_buckets).astype(np.int32).to_numpy()))
-
     def _first_crawl_wins(g: pd.DataFrame) -> pd.DataFrame:
-        keep = g.loc[g.groupby("doc_id")["crawl_seq"].idxmin()]
-        return keep.drop(columns=["_db"])
+        return g.loc[g.groupby("doc_id")["crawl_seq"].idxmin()]
 
-    feats = (
-        docs
-        .map_batches(filter_prepare_batch,
-                     fn_kwargs={"bucket_size": bucket_size},
-                     batch_format="pyarrow")
-        .map_batches(_docid_bucket, batch_format="pyarrow")
-        .materialize()
-    )
-    firsts = (
-        feats.groupby("_db")
-        .map_groups(_first_crawl_wins, batch_format="pandas")
-        .materialize()
+    firsts = sio.exchange(
+        docs.map_batches(filter_prepare_batch,
+                         fn_kwargs={"bucket_size": bucket_size},
+                         batch_format="pyarrow"),
+        lambda t: sio.hash_bucket(t["doc_id"], 256, "spidey-fidx-0000"),
+        _first_crawl_wins,
     )
     survivors = (
-        firsts.groupby("len_bucket")
-        .map_groups(
-            lambda g: near_dup_group(g, dup_threshold), batch_format="pandas",
-        )
+        sio.exchange(firsts, "len_bucket",
+                     lambda g: near_dup_group(g, dup_threshold))
         .select_columns(["doc_id", "crawl_seq"])
         .materialize()
     )
@@ -243,17 +220,12 @@ def run_filter_index(
     # 5. postings: emit + df/tf-idf/per-stem order in ONE shuffle, keyed on
     # the stable stem-hash bucket (512 fat groups — grouping on the raw stem
     # would make millions of one-row bigram groups, see emit_postings_batch)
-    postings = (
-        numbered
-        .map_batches(emit_postings_batch, batch_format="pyarrow")
-        .materialize()
-        .groupby("bucket")
-        .map_groups(
-            lambda g: score_stem_group(g, n_docs), batch_format="pyarrow",
-        )
-        .materialize()
-    )
-    # compact the per-bucket map_groups blocks (order-preserving coalesce:
+    postings = sio.exchange(
+        numbered.map_batches(emit_postings_batch, batch_format="pyarrow"),
+        "bucket", lambda g: score_stem_group(g, n_docs),
+        batch_format="pyarrow",
+    ).materialize()
+    # compact the per-bucket exchange blocks (order-preserving coalesce:
     # bucket runs stay contiguous, within-stem posting order survives);
     # ~4k docs' postings per file keeps per-query reads to a file or two
     postings_path = os.path.join(out_dir, "postings")

@@ -9,6 +9,12 @@ and a final min-label resolution.  Broadcast joins are used for the
 survivor filter.  Public algorithm references: Broder '97 (minhash),
 Indyk-Gionis-Motwani '99 (LSH banding), Charikar '02 (simhash),
 Schleimer '03 (winnowing).
+
+Exchanges: seven ``io.exchange`` sites, one each in ``exact_dedup``,
+``line_dedup``, ``duplicate_gram_hits``, ``duplicate_spans``,
+``strip_duplicate_spans`` (scale branch), ``banded_pairs`` and
+``dedup_pairs``; ``minhash_dedup`` runs the last two, and its hash joins,
+when pairs verify at scale.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import pyarrow as pa
 
 import ray.data
 
-from ..io import pd_to_arrow
+from ..io import exchange, hash_bucket
 
 from ..functions.simhash import (hamming_popcount, simhash64,
                                  simhash64_block, token_hash64,
@@ -63,17 +69,14 @@ def exact_dedup(ds: "ray.data.Dataset", text_col: str = "text",
     per hash is a vectorized idxmin inside each bucket."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        keep = g.loc[g.groupby("content_hash")[id_col].idxmin()]
-        return keep.drop(columns=["_bucket"])
+        return g.loc[g.groupby("content_hash")[id_col].idxmin()]
 
-    return (
+    return exchange(
         ds.map_batches(content_hash_batch,
                        fn_kwargs={"text_col": text_col,
                                   "num_buckets": num_buckets},
-                       batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       batch_format="pyarrow"),
+        "_bucket", per_bucket)
 
 
 def line_dedup(ds: "ray.data.Dataset", text_col: str = "text",
@@ -104,27 +107,20 @@ def line_dedup(ds: "ray.data.Dataset", text_col: str = "text",
         # per-list 0..n ordinals without a Python loop
         starts = np.repeat(np.cumsum(lens) - lens, lens)
         idxs = np.arange(int(lens.sum()), dtype=np.int64) - starts
-        t = pa.table({
+        return pa.table({
             id_col: _pc.take(batch[id_col], parent),
             "line_idx": pa.array(idxs),
             "line": flat,
         })
-        h = pd.util.hash_pandas_object(
-            pd.Series(flat.to_pandas(), dtype="object"), index=False,
-            hash_key="spidey-line-0000", categorize=False)
-        return t.append_column(
-            "_bucket", pa.array((h % num_buckets).astype("int32").to_numpy()))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         order = g.sort_values([id_col, "line_idx"], kind="mergesort")
-        keep = order.drop_duplicates("line", keep="first")
-        return keep.drop(columns=["_bucket"])
+        return order.drop_duplicates("line", keep="first")
 
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        lambda t: hash_bucket(t["line"], num_buckets, "spidey-line-0000"),
+        per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +185,21 @@ def duplicate_gram_hits(ds: "ray.data.Dataset", k: int = 8,
                 "pos": pa.array([], type=pa.int64()),
                 "h1": pa.array([], type=pa.uint64()),
                 "h2": pa.array([], type=pa.uint64()),
-                "_bucket": pa.array([], type=pa.int32()),
             })
-        h1 = np.concatenate(h1s)
         return pa.table({
             id_col: pa.array(np.concatenate(ids)),
             "pos": pa.array(np.concatenate(poss)),
-            "h1": pa.array(h1),
+            "h1": pa.array(np.concatenate(h1s)),
             "h2": pa.array(np.concatenate(h2s)),
-            "_bucket": pa.array((h1 % np.uint64(num_buckets)).astype(np.int32)),
         })
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         dup = g.groupby(["h1", "h2"])[id_col].transform("size") >= 2
         return g.loc[dup, [id_col, "pos"]]
 
-    return (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(emit, batch_format="pyarrow"),
+        lambda t: _mod_bucket(t["h1"], num_buckets), per_bucket)
 
 
 def duplicate_spans(ds: "ray.data.Dataset", k: int = 8,
@@ -221,11 +212,6 @@ def duplicate_spans(ds: "ray.data.Dataset", k: int = 8,
     doc fat bucket — the second (and last) exchange, keyed on doc hash."""
     hits = duplicate_gram_hits(ds, k=k, text_col=text_col, id_col=id_col,
                                num_buckets=num_buckets)
-
-    def bucket(t: pa.Table) -> pa.Table:
-        d = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_dbucket", pa.array((d % num_buckets).astype(np.int32)))
 
     def spans(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "pos"], kind="mergesort")
@@ -243,11 +229,8 @@ def duplicate_spans(ds: "ray.data.Dataset", k: int = 8,
         agg["span_end"] += k
         return agg.reset_index(drop=True)
 
-    return (
-        hits.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_dbucket")
-        .map_groups(spans, batch_format="pandas")
-    )
+    return exchange(hits, lambda t: _mod_bucket(t[id_col], num_buckets),
+                    spans)
 
 
 def _cut_tokens(txt: str, cuts) -> str:
@@ -314,11 +297,6 @@ def strip_duplicate_spans(ds: "ray.data.Dataset", k: int = 8,
     joined = hash_join(docs, spans, on=id_col, how="left",
                        num_buckets=num_buckets)
 
-    def bucket(t: pa.Table) -> pa.Table:
-        d = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_dbucket", pa.array((d % num_buckets).astype(np.int32)))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ids, outs = [], []
         for did, rows in g.groupby(id_col, sort=False):
@@ -330,11 +308,8 @@ def strip_duplicate_spans(ds: "ray.data.Dataset", k: int = 8,
         return pd.DataFrame({id_col: np.asarray(ids, dtype=np.int64),
                              "clean_text": outs})
 
-    return (
-        joined.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_dbucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(joined, lambda t: _mod_bucket(t[id_col], num_buckets),
+                    per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +508,8 @@ def banded_pairs(rows: "ray.data.Dataset", key_cols: list[str],
     ``group_fn(sub_df) -> DataFrame`` handles one collision group
     (default: :func:`_bucket_pairs_ids` pair expansion)."""
 
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
+    def bucket(t: pa.Table) -> np.ndarray:
+        df = t.select(key_cols).to_pandas()
         h = np.zeros(len(df), dtype=np.uint64)
         with np.errstate(over="ignore"):
             for c in key_cols:
@@ -541,35 +517,34 @@ def banded_pairs(rows: "ray.data.Dataset", key_cols: list[str],
                     df[c], index=False, categorize=False
                 ).to_numpy().astype(np.uint64)
                 h = _mix64(h ^ hc)
-        df = df.copy()
-        df["_bb"] = (h % np.uint64(num_buckets)).astype(np.int32)
-        return pd_to_arrow(df)
+        return (h % np.uint64(num_buckets)).astype(np.int32)
 
     fn = group_fn or (lambda sub: _bucket_pairs_ids(sub, max_bucket))
 
-    def per_bucket(g: pd.DataFrame):
-        g = g.drop(columns=["_bb"])
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         sizes = g.groupby(key_cols, sort=False)[id_col].transform("size")
         g = g[sizes >= 2]
         if g.empty:
             return fn(g)
-        return pd_to_arrow(
-            pd.concat([fn(sub) for _, sub in g.groupby(key_cols,
-                                                       sort=False)],
-                      ignore_index=True))
+        return pd.concat([fn(sub) for _, sub in g.groupby(key_cols,
+                                                          sort=False)],
+                         ignore_index=True)
 
-    return (rows.map_batches(bucket, batch_format="pandas")
-            .groupby("_bb").map_groups(per_bucket, batch_format="pandas"))
+    return exchange(rows, bucket, per_bucket)
 
 
-def _pair_bucket_col(t: pa.Table, num_buckets: int) -> pa.Table:
-    """Deterministic fat-bucket key over the (doc_a, doc_b) pair."""
+def _mod_bucket(ids, num_buckets: int) -> np.ndarray:
+    """Bucket ids of an integer column: ``id % num_buckets``."""
+    return (ids.to_numpy(zero_copy_only=False) % num_buckets).astype(np.int32)
+
+
+def _pair_bucket(t: pa.Table, num_buckets: int) -> np.ndarray:
+    """Deterministic fat-bucket ids over the (doc_a, doc_b) pair."""
     a = t["doc_a"].to_numpy(zero_copy_only=False).astype(np.uint64)
     b = t["doc_b"].to_numpy(zero_copy_only=False).astype(np.uint64)
     with np.errstate(over="ignore"):
         h = (a * np.uint64(0x9E3779B97F4A7C15)) ^ (b + np.uint64(0x165667B1))
-    return t.append_column(
-        "_pb", pa.array((h % np.uint64(num_buckets)).astype(np.int32)))
+    return (h % np.uint64(num_buckets)).astype(np.int32)
 
 
 def dedup_pairs(pairs: "ray.data.Dataset",
@@ -583,17 +558,8 @@ def dedup_pairs(pairs: "ray.data.Dataset",
     identical in every column (same pair ⇒ same attrs), so first-wins is
     deterministic."""
 
-    def per_bucket(g: pd.DataFrame):
-        return pd_to_arrow(
-            g.drop_duplicates(["doc_a", "doc_b"]).drop(columns=["_pb"]))
-
-    return (
-        pairs.map_batches(_pair_bucket_col,
-                          fn_kwargs={"num_buckets": num_buckets},
-                          batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(pairs, lambda t: _pair_bucket(t, num_buckets),
+                    lambda g: g.drop_duplicates(["doc_a", "doc_b"]))
 
 
 def attach_pair_attrs_adaptive(

@@ -54,6 +54,10 @@ broadcast↔join convention, cf. ``stages/dedup.py`` /
   iteration (O(nodes) rows, spillable) so lineage doesn't compound.
 
 Both plans produce byte-identical tables (tested).
+
+Exchanges: two ``io.exchange`` sites on the join plan, the outdegree
+merge (once) and the per-iteration contribution sum; each iteration
+also runs two hash joins.  The broadcast plan runs none.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..io import block_partials, pd_to_arrow, strip_schema_metadata
+from ..io import block_partials, exchange, strip_schema_metadata
 
 
 def _scatter_add(n_nodes: int, parts, id_col: str, val_col: str,
@@ -141,18 +145,18 @@ def _pagerank_join(edges: "ray.data.Dataset", n_nodes: int,
     def od_explode(t: pa.Table) -> pa.Table:
         src = t[src_col].to_numpy(zero_copy_only=False).astype(np.int64)
         u, cnt = np.unique(src, return_counts=True)
-        out = pa.table({src_col: u, "_od_part": cnt.astype(np.int64),
-                        "_bucket": (u % num_buckets).astype(np.int32)})
-        return out
+        return pa.table({src_col: u, "_od_part": cnt.astype(np.int64)})
 
     def od_merge(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby(src_col, sort=False)["_od_part"].sum().reset_index()
         return s.rename(columns={"_od_part": "out_deg"})
 
-    outdeg = (edges.map_batches(od_explode, batch_format="pyarrow")
-              .groupby("_bucket")
-              .map_groups(lambda g: pd_to_arrow(od_merge(g)),
-                          batch_format="pandas"))
+    def by_id(col: str):
+        return lambda t: (t[col].to_numpy(zero_copy_only=False)
+                          % num_buckets).astype(np.int32)
+
+    outdeg = exchange(edges.map_batches(od_explode, batch_format="pyarrow"),
+                      by_id(src_col), od_merge)
     edges_od = hash_join(edges, outdeg, on=src_col,
                          num_buckets=num_buckets).materialize()
 
@@ -207,18 +211,14 @@ def _pagerank_join(edges: "ray.data.Dataset", n_nodes: int,
             u, inv = np.unique(dst, return_inverse=True)
             sums = np.zeros(len(u), dtype=np.int64)
             np.add.at(sums, inv, share)
-            return pa.table({
-                "node": u, "_c_part": sums,
-                "_bucket": (u % num_buckets).astype(np.int32)})
+            return pa.table({"node": u, "_c_part": sums})
 
         def merge_contrib(g: pd.DataFrame) -> pd.DataFrame:
             s = g.groupby("node", sort=False)["_c_part"].sum().reset_index()
             return s.rename(columns={"_c_part": "contrib"})
 
-        contribs = (joined.map_batches(shares, batch_format="pyarrow")
-                    .groupby("_bucket")
-                    .map_groups(lambda g: pd_to_arrow(merge_contrib(g)),
-                                batch_format="pandas"))
+        contribs = exchange(joined.map_batches(shares, batch_format="pyarrow"),
+                            by_id("node"), merge_contrib)
 
         updated = hash_join(ranks.select_columns(["node", "dangling"]),
                             contribs, on="node", how="left",

@@ -149,7 +149,7 @@ def filter_prepare_batch(batch: pa.Table, bucket_size: int = 100) -> pa.Table:
 def near_dup_group(df, threshold: float = 0.975):
     """Sequential first-survivor-wins near-dup scan WITHIN one length bucket
     (Filter.py:94-110; bucket-boundary misses are reference semantics).
-    pandas in / pandas out for groupby().map_groups.
+    pandas in / pandas out for ``io.exchange``.
 
     Each doc is compared against ALL current survivors in one vectorized
     xor+popcount (identical float comparisons to the scalar

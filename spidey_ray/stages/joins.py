@@ -17,10 +17,12 @@ null-fills the other side's columns (including list columns) losslessly,
 and each side is converted to pandas only AFTER the side split, so no
 column ever sees null-fill in pandas and int dtypes survive untouched.
 
-The bucket hash is deterministic (``pandas.util.hash_pandas_object`` with a
-fixed hash key, ``categorize=False`` — factorize's C hashtable truncates
-strings at NUL and would collide distinct composite keys) so the same key
-always lands in the same bucket on every node.
+The bucket hash is ``io.hash_bucket`` with this module's fixed salt, so
+the same key always lands in the same bucket on every node.  Multi-column
+keys hash their ``"\x1f"``-joined string forms.
+
+Exchanges: :func:`hash_join` runs one (``io.exchange`` over both tagged,
+padded sides); :func:`join`'s broadcast path runs none.
 
 Skew note: one bucket holds ~1/num_buckets of the key space; a single hot
 key cannot be split further by bucketing alone — salt the hot key upstream
@@ -36,24 +38,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from .. import io  # noqa: F401  (the engine's DataContext settings)
+from ..io import exchange, hash_bucket
 
 _HASH_KEY = "spidey-join-0000"  # 16 bytes, fixed: deterministic across workers
-
-
-def _bucket_of(t: pa.Table, on: list[str], num_buckets: int) -> pa.Array:
-    df = t.select(on).to_pandas()
-    if len(on) > 1:
-        # vectorized string concat — .agg("\x1f".join, axis=1) is a
-        # per-row Python loop (same values, C speed)
-        key = df[on[0]].astype(str)
-        for c in on[1:]:
-            key = key + "\x1f" + df[c].astype(str)
-    else:
-        key = df[on[0]]
-    h = pd.util.hash_pandas_object(
-        key, index=False, hash_key=_HASH_KEY, categorize=False)
-    return pa.array((h % num_buckets).astype(np.int32).to_numpy())
 
 
 def hash_join(
@@ -77,15 +64,13 @@ def hash_join(
 
     def tag_left(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
-        return t.append_column("_side", pa.array(np.zeros(len(t), dtype=np.int8))) \
-                .append_column("_bucket", _bucket_of(t, on, num_buckets))
+        return t.append_column("_side", pa.array(np.zeros(len(t), dtype=np.int8)))
 
     def tag_right(t: pa.Table) -> pa.Table:
         t = t.replace_schema_metadata(None)
         t = t.rename_columns([c + suffix if c in left_cols and c not in on
                               else c for c in t.column_names])
-        return t.append_column("_side", pa.array(np.ones(len(t), dtype=np.int8))) \
-                .append_column("_bucket", _bucket_of(t, on, num_buckets))
+        return t.append_column("_side", pa.array(np.ones(len(t), dtype=np.int8)))
 
     # ONE schema probe per side, on the tagged sides materialized first: a
     # lazy plan's probe is a limit(1) run that cancels the tasks it does
@@ -99,7 +84,7 @@ def hash_join(
     l_schema = l_tag.schema()
     if l_schema is None:
         return left                     # no left rows → no output rows
-    left_cols = l_schema.names[:-2]     # tag_left appends _side, _bucket
+    left_cols = l_schema.names[:-1]     # tag_left appends _side
     r_tag = right.map_batches(tag_right, batch_format="pyarrow").materialize()
     r_schema = r_tag.schema()
     if r_schema is None:
@@ -107,7 +92,7 @@ def hash_join(
             return left.limit(0)
         return left                     # anti/left: every left row survives
 
-    out_right_cols = [c for c in r_schema.names[:-2] if c not in on]
+    out_right_cols = [c for c in r_schema.names[:-1] if c not in on]
     out_cols = (left_cols if how in ("semi", "anti")
                 else left_cols + out_right_cols)
     field_types: dict[str, pa.DataType] = {}
@@ -121,9 +106,6 @@ def hash_join(
             if c not in t.column_names:
                 t = t.append_column(c, pa.nulls(len(t), type=typ))
         return t.select(all_cols)
-
-    l_tag = l_tag.map_batches(pad, batch_format="pyarrow")
-    r_tag = r_tag.map_batches(pad, batch_format="pyarrow")
 
     def _empty() -> pa.Table:
         return pa.table({c: pa.array([], type=field_types[c])
@@ -159,7 +141,10 @@ def hash_join(
         return pa.Table.from_pandas(out[out_cols], schema=out_schema,
                                     preserve_index=False)
 
-    joined = l_tag.union(r_tag).groupby("_bucket").map_groups(
+    joined = exchange(
+        l_tag.map_batches(pad, batch_format="pyarrow").union(
+            r_tag.map_batches(pad, batch_format="pyarrow")),
+        lambda t: hash_bucket(t.select(on), num_buckets, _HASH_KEY),
         per_bucket, batch_format="pyarrow")
     # one zero-row TYPED block is always present: empty shuffle partitions
     # yield schema-less blocks, and an all-empty result would otherwise
@@ -185,61 +170,30 @@ def join(
     if n_right > broadcast_limit:
         return hash_join(left, right, on, how=how, num_buckets=num_buckets,
                          suffix=suffix)
+    if n_right == 0:
+        return left.limit(0) if how in ("inner", "semi") else left
     on_l = [on] if isinstance(on, str) else list(on)
-    if left.schema() is None:
-        return left
-    if right.schema() is None or n_right == 0:
-        if how in ("inner", "semi"):
-            return left.limit(0)
-        return left
-    left_cols = list(left.schema().names)
-    rdf = right.to_pandas()
-    rename = {c: (c + suffix if c in left_cols else c)
-              for c in right.schema().names if c not in on_l}
-    rdf = rdf.rename(columns=rename)
-    r_ref = ray.put(rdf)
+    r_ref = ray.put(right.to_pandas())
 
-    out_cols_bc = (left_cols if how in ("semi", "anti")
-                   else left_cols + [c for c in rdf.columns if c not in on_l])
-
+    # the left side is never probed: a lazy plan's schema() is a limit(1)
+    # run that cancels the tasks it does not need.  Each batch names its
+    # own columns, so the right side's collision renames are worked out
+    # per batch, and every batch's merge output is typed even when empty.
     def merge(df: pd.DataFrame) -> pd.DataFrame:
+        if not len(df.columns):          # schema-less empty block
+            return df
         r = ray.get(r_ref)
-        if not len(df.columns):          # schema-less empty shuffle block
-            return pd.DataFrame(columns=out_cols_bc)
         if how == "semi":
             return df.merge(r[on_l].drop_duplicates(), on=on_l, how="inner")
         if how == "anti":
             m = df.merge(r[on_l].drop_duplicates(), on=on_l, how="left",
                          indicator=True)
             return m.loc[m["_merge"] == "left_only", list(df.columns)]
+        r = r.rename(columns={c: c + suffix for c in r.columns
+                              if c in df.columns and c not in on_l})
         return df.merge(r, on=on_l, how=how)
 
-    # Same guard as hash_join: one zero-row TYPED block is always present so
-    # an all-empty broadcast result keeps its columns through to_pandas —
-    # without it the two strategies this front door switches between return
-    # differently-shaped outputs for the same (empty-result) inputs.
-    # left may be pandas-blocked (base_schema a PandasBlockSchema namedtuple
-    # whose types are numpy dtypes / python classes, not Arrow types)
-    def _pa_type(t):
-        if isinstance(t, pa.DataType):
-            return t
-        try:
-            return pa.from_numpy_dtype(np.dtype(t))
-        except (TypeError, ValueError, pa.ArrowNotImplementedError):
-            return pa.string()      # object dtype: strings in practice
-
-    _ls = left.schema()
-    l_fields = [(n, _pa_type(t)) for n, t in zip(_ls.names, _ls.types)]
-    r_schema = pa.Schema.from_pandas(rdf, preserve_index=False)
-    l_names = {n for n, _ in l_fields}
-    out_fields = list(l_fields)
-    if how not in ("semi", "anti"):
-        out_fields += [(c, r_schema.field(c).type) for c in rdf.columns
-                       if c not in on_l and c not in l_names]
-    empty_block = pa.schema(out_fields).empty_table()
-
-    return left.map_batches(merge, batch_format="pandas").union(
-        ray.data.from_arrow(empty_block))
+    return left.map_batches(merge, batch_format="pandas")
 
 
 def salted_join(

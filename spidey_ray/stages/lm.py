@@ -6,7 +6,8 @@ KenLM; the smoothing here is Stupid Backoff, Brants et al., "Large
 Language Models in Machine Translation", EMNLP'07, α = 0.4).
 
 Scale shape: training is a distributed count aggregation (per-batch
-Counter partials → one fat-bucket exchange → per-bucket sum); the model
+Counter partials → one fat-bucket ``io.exchange`` → per-bucket sum, the
+module's one exchange); the model
 that leaves the cluster is the pruned count table only (``min_count``
 knob), which is broadcast once via ``ray.put`` and read by every scoring
 task — the classic small-side broadcast, exactly how CCNet ships its
@@ -29,6 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..io import exchange, hash_bucket
 from .textstats import tokens_of
 
 ALPHA = 0.4                      # stupid-backoff discount
@@ -60,27 +62,17 @@ def ngram_count_rows(ds: "ray.data.Dataset", text_col: str = "text",
             levels.extend([lvl] * len(c))
             keys.extend(c.keys())
             ns.extend(c.values())
-        h = pd.util.hash_pandas_object(
-            pd.Series(keys, dtype="object"), index=False,
-            hash_key="spidey-lmgram-00", categorize=False)
         return pa.table({
             "level": pa.array(levels, type=pa.int8()),
             "key": pa.array(keys, type=pa.string()),
             "n": pa.array(ns, type=pa.int64()),
-            "_bucket": pa.array((h % num_buckets).astype("int32").values
-                                if len(keys) else
-                                np.empty(0, dtype=np.int32)),
         })
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["level", "key"], sort=False)["n"].sum().reset_index()
-        return out
-
-    return (
-        ds.map_batches(emit, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return exchange(
+        ds.map_batches(emit, batch_format="pyarrow"),
+        lambda t: hash_bucket(t["key"], num_buckets, "spidey-lmgram-00"),
+        lambda g: g.groupby(["level", "key"], sort=False)["n"].sum()
+        .reset_index())
 
 
 def build_backoff_model(counts: "ray.data.Dataset",

@@ -18,6 +18,9 @@ spans; this module gives those refs a payload pipeline:
 - ``resize_stage`` / ``frame_sample_stage``: size-changing transforms on the
   fake format, keeping small batches for large binary rows
   (SURVEY.md §7.5.6 memory note).
+
+Exchanges: ``media_dup_pairs`` runs two, its banding (``dedup.banded_pairs``)
+and one ``io.exchange`` that drops pairs proposed by several bands.
 """
 
 from __future__ import annotations
@@ -234,6 +237,7 @@ def media_dup_pairs(ds, max_hamming: int = 6):
     import pandas as pd
 
     from ..functions.simhash import hamming_popcount
+    from ..io import exchange, hash_bucket
 
     sigs = ds.map_batches(phash_batch, batch_format="pyarrow")
 
@@ -277,20 +281,12 @@ def media_dup_pairs(ds, max_hamming: int = 6):
     )
 
     # pair-level dedup, fat-bucketed on a pair hash (a raw
-    # (ref_a, ref_b) groupby would be one near-singleton group per pair)
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        h = pd.util.hash_pandas_object(
-            df["ref_a"] + "\x1f" + df["ref_b"], index=False,
-            categorize=False)
-        df["_pb"] = (h % 64).astype(np.int32)
-        return df
-
-    def drop_dup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["ref_a", "ref_b"]).drop(columns=["_pb"])
-
-    return (cand.map_batches(pair_bucket, batch_format="pandas")
-            .groupby("_pb").map_groups(drop_dup, batch_format="pandas"))
+    # (ref_a, ref_b) groupby would be one near-singleton group per pair);
+    # the salt is pandas' default hash key
+    return exchange(
+        cand, lambda t: hash_bucket(t.select(["ref_a", "ref_b"]), 64,
+                                    "0123456789123456"),
+        lambda g: g.drop_duplicates(["ref_a", "ref_b"]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ reruns and incremental refreshes agree.  Both operators rank rows by
   (rank, id) first — the "max N docs per domain" rule. Fat-bucketed on
   ``hash(key) % num_buckets`` (one group per key would be the raw-key
   groupby slow path at corpus scale).
+
+Exchanges: two ``io.exchange`` sites, :func:`cap_per_key` and
+:func:`shuffle_to_shards`; the samplers themselves run none.
 """
 
 from __future__ import annotations
@@ -26,18 +29,22 @@ import pyarrow as pa
 
 import ray.data
 
-from ..io import block_partials
+from ..io import block_partials, exchange, hash_bucket
 
 
-def _md5_rank8(vals) -> list[str]:
-    return [hashlib.md5(str(v).encode("utf-8")).hexdigest()[:8]
-            for v in vals]
+def _md5_rank(vals, prefix: str = "") -> np.ndarray:
+    """``int(md5(prefix + str(v)).hexdigest()[:8], 16)`` per value, as
+    uint64: the first 4 digest bytes, big-endian."""
+    return np.fromiter(
+        (int.from_bytes(hashlib.md5(f"{prefix}{v}".encode("utf-8"))
+                        .digest()[:4], "big") for v in vals),
+        dtype=np.uint64, count=len(vals))
 
 
-def _thresh_hex(fraction: float) -> str:
-    """fraction ∈ [0,1) → 8-hex-char threshold; rank < threshold keeps
-    ~fraction of rows (uniform md5 rank)."""
-    return format(int(fraction * 0x1_0000_0000), "08x")
+def _thresh(fraction: float) -> int:
+    """fraction → integer rank threshold; rank < threshold keeps
+    ~fraction of rows (uniform md5 rank), and 2³² keeps every row."""
+    return min(int(fraction * 0x1_0000_0000), 0x1_0000_0000)
 
 
 def hash_sample(ds: "ray.data.Dataset", id_col: str,
@@ -52,22 +59,20 @@ def hash_sample(ds: "ray.data.Dataset", id_col: str,
     vectorizable filter per batch."""
     if fraction is not None and fraction >= 1.0:
         return ds
-    thr = _thresh_hex(fraction) if fraction is not None else None
-    # 'g' sorts after every hex char → keep-all for fraction ≥ 1
-    thr_by_key = ({k: ("g" if v >= 1.0 else _thresh_hex(v))
-                   for k, v in fraction_by_key.items()}
-                  if fraction_by_key else {})
-    thr_default = _thresh_hex(default_fraction)
+    thr = _thresh(fraction) if fraction is not None else None
+    thr_by_key = {k: _thresh(v) for k, v in (fraction_by_key or {}).items()}
+    thr_default = _thresh(default_fraction)
 
     def keep(t: pa.Table) -> pa.Table:
-        ranks = _md5_rank8(t[id_col].to_pylist())
-        if thr is not None:
-            mask = [r < thr for r in ranks]
-        else:
+        ranks = _md5_rank(t[id_col].to_pylist())
+        if thr is None:
             keys = t[key_col].to_pylist()
-            mask = [r < thr_by_key.get(k, thr_default)
-                    for r, k in zip(ranks, keys)]
-        return t.filter(pa.array(mask))
+            limit = np.fromiter((thr_by_key.get(k, thr_default)
+                                 for k in keys),
+                                dtype=np.uint64, count=len(keys))
+        else:
+            limit = np.uint64(thr)
+        return t.filter(pa.array(ranks < limit))
 
     return ds.map_batches(keep, batch_format="pyarrow")
 
@@ -122,22 +127,15 @@ def cap_per_key(ds: "ray.data.Dataset", key_col: str, id_col: str,
     shuffle groups; inside a bucket one sort + cumcount takes the head of
     every key at C speed."""
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_rank"] = _md5_rank8(df[id_col].tolist())
-        h = pd.util.hash_pandas_object(
-            df[key_col], index=False, hash_key="spidey-capkey-00",
-            categorize=False)
-        df["_kb"] = (h % num_buckets).astype(np.int32)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, "_rank", id_col], kind="mergesort")
+        g = g.assign(_rank=_md5_rank(g[id_col].tolist())).sort_values(
+            [key_col, "_rank", id_col], kind="mergesort")
         pos = g.groupby(key_col, sort=False).cumcount()
-        return g[pos < cap].drop(columns=["_rank", "_kb"])
+        return g[pos < cap].drop(columns=["_rank"])
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("_kb").map_groups(per_bucket, batch_format="pandas"))
+    return exchange(
+        ds, lambda t: hash_bucket(t[key_col], num_buckets, "spidey-capkey-00"),
+        per_bucket)
 
 
 def shuffle_to_shards(ds: "ray.data.Dataset", id_col: str,
@@ -159,20 +157,16 @@ def shuffle_to_shards(ds: "ray.data.Dataset", id_col: str,
     failed export skips finished shards).  Output carries every input
     column plus (shard_id, shard_pos)."""
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        ranks = [hashlib.md5(f"{seed}:{v}".encode("utf-8")).hexdigest()[:8]
-                 for v in df[id_col].tolist()]
-        df["_rank"] = ranks
-        df["shard_id"] = np.asarray(
-            [int(r, 16) % n_shards for r in ranks], dtype=np.int64)
-        return df
+    def shard_of(t: pa.Table) -> np.ndarray:
+        return (_md5_rank(t[id_col].to_pylist(), f"{seed}:")
+                % np.uint64(n_shards)).astype(np.int32)
 
     def order(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["_rank", id_col], kind="mergesort")
-        g = g.drop(columns=["_rank"])
+        rank = _md5_rank(g[id_col].tolist(), f"{seed}:")
+        g = g.assign(_rank=rank, shard_id=(rank % np.uint64(n_shards))
+                     .astype(np.int64)).sort_values(
+            ["_rank", id_col], kind="mergesort").drop(columns=["_rank"])
         g["shard_pos"] = np.arange(len(g), dtype=np.int64)
         return g
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("shard_id").map_groups(order, batch_format="pandas"))
+    return exchange(ds, shard_of, order)

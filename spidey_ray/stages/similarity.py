@@ -7,6 +7,10 @@
   bucketed by nearest centroid (a groupby shuffle), queries probe the
   ``n_probe`` nearest buckets only.  (Jégou et al., "Product Quantization
   for Nearest Neighbor Search", PAMI'11 — coarse quantizer part.)
+
+Exchanges: two ``io.exchange`` sites on the cluster id, ``IvfIndex.build``
+and ``semdedup``; ``semdedup`` adds one anti join past its broadcast
+limit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import pyarrow as pa
 
 import ray
 import ray.data
+
+from ..io import exchange
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -301,12 +307,9 @@ class IvfIndex:
         # cluster by list_id (one shuffle) so each Arrow block holds few
         # lists, keep the blocks in the object store, record which lists
         # live in which block (tiny driver metadata)
-        assigned = (
-            ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("list_id")
-            .map_groups(lambda g: g, batch_format="pyarrow")
-            .materialize()
-        )
+        assigned = exchange(ds.map_batches(assign, batch_format="pyarrow"),
+                            "list_id", lambda g: g,
+                            batch_format="pyarrow").materialize()
         self._block_refs = [
             ref for bundle in assigned.iter_internal_ref_bundles()
             for ref in bundle.block_refs
@@ -664,12 +667,8 @@ def semdedup(ds: "ray.data.Dataset", n_clusters: int = 16, eps: float = 0.95,
         keep = greedy_centroid_dedup(u, eps)
         return pd.DataFrame({"id": ids[order][~keep].astype(np.int64)})
 
-    drops = (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("list_id")
-        .map_groups(per_cluster, batch_format="pandas")
-        .materialize()
-    )
+    drops = exchange(ds.map_batches(assign, batch_format="pyarrow"),
+                     "list_id", per_cluster).materialize()
 
     if drops.count() <= broadcast_limit:
         drop_ids = sorted(

@@ -7,6 +7,9 @@ Shape: each batch folds its values into one 2^p-byte register array
 associatively by elementwise max, so the driver-side merge is O(blocks ×
 16 KB) regardless of cardinality — the exact-distinct ``groupby`` this
 replaces is an all-to-all shuffle of every distinct value.
+
+Exchanges: one ``io.exchange`` site, the candidate merge of
+:func:`heavy_hitters`; every other sketch merges on the driver.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from ..io import exchange, hash_bucket
 
 _HASH_KEY = "spidey-hll-00000"  # fixed: deterministic across workers
 
@@ -200,13 +205,6 @@ def heavy_hitters(ds: "ray.data.Dataset", col: str = "item", k: int = 256,
     if threshold_frac is not None:
         keep_min = max(1, int(np.ceil(threshold_frac * n_total)) - err)
 
-    def bucketize(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t["item"].to_pandas(), index=False, hash_key=_HASH_KEY,
-            categorize=False)
-        return t.append_column(
-            "_bucket", pa.array((h % num_buckets).astype("int32").values))
-
     def merge_bucket(g: pd.DataFrame) -> pa.Table:
         out = g.groupby("item", sort=False)["est"].sum().reset_index()
         out = out[out["est"] >= keep_min]
@@ -219,12 +217,10 @@ def heavy_hitters(ds: "ray.data.Dataset", col: str = "item", k: int = 256,
             "est": pa.array(out["est"].to_numpy(), type=pa.int64()),
         })
 
-    cand = (
-        parts.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(merge_bucket, batch_format="pandas")
-        .to_pandas()                 # ≤ N/keep_min candidates — small
-    )
+    cand = exchange(
+        parts, lambda t: hash_bucket(t["item"], num_buckets, _HASH_KEY),
+        merge_bucket,
+    ).to_pandas()                    # ≤ N/keep_min candidates — small
     cand["err"] = err
     return (cand.sort_values(["est", "item"], ascending=[False, True])
             .reset_index(drop=True))

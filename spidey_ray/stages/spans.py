@@ -15,6 +15,10 @@ Outputs are integer counts plus one bool, byte-comparable to a SQL
 oracle (the ``order_ok`` column asserts the span-sequence ORDER
 invariant — offsets strictly increasing — that the reference's
 row-for-row span equality check depends on).
+
+Exchanges: two ``io.exchange`` sites, :func:`duplicate_media_positions`
+and the scale branch of :func:`strip_duplicate_media_spans`, which also
+runs one hash join.
 """
 
 from __future__ import annotations
@@ -365,14 +369,7 @@ def duplicate_media_positions(ds: "ray.data.Dataset",
     fat-bucket exchange on ``hash(media_ref)``: all occurrences of a ref
     co-locate, so first-wins is exact and global; only refs + two ints
     ride the shuffle, never payloads or text."""
-    import ray.data  # noqa: F401
-
-    def bucket(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t["media_ref"].to_pandas(), index=False,
-            hash_key="spidey-mediarf-0", categorize=False)
-        return t.append_column(
-            "_bucket", pa.array((h % num_buckets).astype("int32").values))
+    from ..io import exchange, hash_bucket
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values([id_col, "pos"], kind="mergesort")
@@ -382,14 +379,12 @@ def duplicate_media_positions(ds: "ray.data.Dataset",
             "pos": pa.array(dup["pos"].to_numpy(), type=pa.int64()),
         })
 
-    return (
+    return exchange(
         ds.map_batches(media_ref_positions_batch,
                        fn_kwargs={"spans_col": spans_col, "id_col": id_col},
-                       batch_format="pyarrow")
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       batch_format="pyarrow"),
+        lambda t: hash_bucket(t["media_ref"], num_buckets, "spidey-mediarf-0"),
+        per_bucket)
 
 
 def _rebuild_spans(col: pa.Array, keep: np.ndarray,
@@ -463,17 +458,13 @@ def strip_duplicate_media_spans(ds: "ray.data.Dataset",
         return ds.map_batches(strip, batch_format="pyarrow")
 
     # scale branch: drops ⋈ docs co-partitioned on doc hash, per-bucket cut
+    from ..io import exchange
     from .joins import hash_join
 
     joined = hash_join(ds, drops.map_batches(
         lambda t: t.rename_columns([id_col, "drop_pos"]),
         batch_format="pyarrow"), on=id_col, how="left",
         num_buckets=num_buckets)
-
-    def dbucket(t: pa.Table) -> pa.Table:
-        d = t[id_col].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_dbucket", pa.array((d % num_buckets).astype(np.int32)))
 
     def per_doc_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ids, spans_out, dropped = [], [], []
@@ -489,8 +480,7 @@ def strip_duplicate_media_spans(ds: "ray.data.Dataset",
                              "n_media_dropped": np.asarray(dropped,
                                                            dtype=np.int64)})
 
-    return (
-        joined.map_batches(dbucket, batch_format="pyarrow")
-        .groupby("_dbucket")
-        .map_groups(per_doc_bucket, batch_format="pandas")
-    )
+    return exchange(
+        joined, lambda t: (t[id_col].to_numpy(zero_copy_only=False)
+                           % num_buckets).astype(np.int32),
+        per_doc_bucket)

@@ -10,6 +10,8 @@ num_buckets``), not the raw key: grouping on the raw key makes one group per
 user/entity — millions of near-singleton groups at corpus scale, the slow
 path of a sort-based shuffle (same reasoning as the stem-hash buckets in
 ``pipelines/filter_index.py``).  Skewed keys can be salted upstream.
+
+Exchanges: one per operator (``io.exchange``), four in this module.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import pandas as pd
 
 import ray.data
 
+from ..io import exchange, hash_bucket
+
 _HASH_KEY = "spidey-wind-0000"  # fixed: deterministic across workers
 
 
-def _bucket_col(s: pd.Series, num_buckets: int) -> np.ndarray:
-    h = pd.util.hash_pandas_object(s, index=False, hash_key=_HASH_KEY,
-                                   categorize=False)
-    return (h % num_buckets).astype(np.int32).to_numpy()
+def _by(cols: list[str], num_buckets: int):
+    """Bucket-id function over the key columns of an Arrow batch."""
+    return lambda t: hash_bucket(t.select(cols), num_buckets, _HASH_KEY)
 
 
 def asof_join(
@@ -46,23 +49,18 @@ def asof_join(
     ``merge_asof`` pattern."""
     rts = right_ts_col or ts_col
 
-    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(_side=np.int8(0))
-        df["_bucket"] = _bucket_col(df[key], num_buckets)
-        return df
-
-    def tag_right(df: pd.DataFrame) -> pd.DataFrame:
-        if rts != ts_col:
-            df = df.rename(columns={rts: ts_col})
-        df = df.assign(_side=np.int8(1))
-        df["_bucket"] = _bucket_col(df[key], num_buckets)
-        return df
-
-    l_tag = left.map_batches(tag_left, batch_format="pandas")
-    r_tag = right.map_batches(tag_right, batch_format="pandas")
-
-    left_cols = [c for c in left.schema().names]
-    right_cols = [c for c in right.schema().names if c not in (key, rts)]
+    # each side tagged and materialized: its column names come from the
+    # executed blocks, never from a lazy plan's limit(1) schema probe
+    l_tag = left.map_batches(lambda df: df.assign(_side=np.int8(0)),
+                             batch_format="pandas").materialize()
+    r_tag = right.map_batches(
+        lambda df: df.rename(columns={rts: ts_col}).assign(_side=np.int8(1)),
+        batch_format="pandas").materialize()
+    l_schema, r_schema = l_tag.schema(), r_tag.schema()
+    if l_schema is None or r_schema is None:
+        return left.limit(0)            # a side with no rows: no matches
+    left_cols = l_schema.names[:-1]     # the tags append _side
+    right_cols = [c for c in r_schema.names[:-1] if c not in (key, ts_col)]
     out_cols = left_cols + [c + suffix for c in right_cols]
 
     def per_key(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
@@ -88,27 +86,14 @@ def asof_join(
             return pd.DataFrame(columns=out_cols)
         return pd.concat(outs, ignore_index=True)
 
-    return l_tag.union(r_tag).groupby("_bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return exchange(l_tag.union(r_tag), _by([key], num_buckets), per_bucket)
 
 
 def _bucketed_merge(partials: "ray.data.Dataset", keys: list[str],
                     final_fn, num_buckets: int = 64) -> "ray.data.Dataset":
     """Final merge of per-block partials over a FAT bucket shuffle (one
     group per window key would be window-count-many tiny groups)."""
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        key = (df[keys].astype(str).agg("\x1f".join, axis=1)
-               if len(keys) > 1 else df[keys[0]])
-        df["_bucket"] = _bucket_col(key, num_buckets)
-        return df
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return final_fn(g.drop(columns=["_bucket"]))
-
-    return partials.map_batches(bucket, batch_format="pandas").groupby(
-        "_bucket").map_groups(per_bucket, batch_format="pandas")
+    return exchange(partials, _by(keys, num_buckets), final_fn)
 
 
 def tumbling_window_agg(
@@ -214,11 +199,6 @@ def sessionize(
 
     gap_us = int(gap_seconds * 1_000_000)
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_bucket"] = _bucket_col(df[key], num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col], kind="mergesort")
         us = (
@@ -238,8 +218,7 @@ def sessionize(
         agg["n_events"] = agg["n_events"].astype("int64")
         return agg[[key, "session_id", "session_start_us", "n_events"]]
 
-    return ds.map_batches(tag, batch_format="pandas").groupby(
-        "_bucket").map_groups(per_bucket, batch_format="pandas")
+    return exchange(ds, _by([key], num_buckets), per_bucket)
 
 
 def lag_delta(
@@ -259,11 +238,6 @@ def lag_delta(
     boundaries masked) — never one group per key.  Ties on the timestamp
     break by ``id_col`` so the lag order is total and oracle-comparable."""
 
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_bucket"] = _bucket_col(df[key], num_buckets)
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col, id_col], kind="mergesort")
         us = (
@@ -280,5 +254,4 @@ def lag_delta(
             "delta_us": delta,
         })
 
-    return ds.map_batches(tag, batch_format="pandas").groupby(
-        "_bucket").map_groups(per_bucket, batch_format="pandas")
+    return exchange(ds, _by([key], num_buckets), per_bucket)

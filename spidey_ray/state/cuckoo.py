@@ -122,16 +122,18 @@ class CuckooFilter:
         # false negative for whichever key owned it), which matters now
         # that ScalableCuckoo catches the error and retries in a fresh
         # segment instead of crashing
+        # Python ints throughout: the partner bucket is _index2's formula,
+        # i1 ^ ((fp * 0x5BD1E995) & mask), without one-element arrays
+        mask = self.n_buckets - 1
         idx = i1
-        cur = np.uint16(fp)
-        chain: list[tuple[int, int, np.uint16]] = []
+        cur = int(fp)
+        chain: list[tuple[int, int, int]] = []
         for _ in range(_MAX_KICKS):
             slot = int(self._rng.integers(self.slots))
-            cur, self.table[idx][slot] = self.table[idx][slot], cur
+            row = self.table[idx]
+            cur, row[slot] = int(row[slot]), cur
             chain.append((idx, slot, cur))
-            idx = int(
-                self._index2(np.array([idx], dtype=np.int64), np.array([cur]))[0]
-            )
+            idx ^= (cur * 0x5BD1E995) & mask
             row = self.table[idx]
             free = np.nonzero(row == _EMPTY)[0]
             if free.size:

@@ -250,3 +250,57 @@ class TestExactQuantiles:
         assert exact_quantiles(empty, "v", [0.5]) == []
         one = ray.data.from_pandas(pd.DataFrame({"v": [42.0]}))
         assert exact_quantiles(one, "v", [0.1, 0.9]) == [(0.1, 42.0), (0.9, 42.0)]
+
+
+class TestNoLazySchemaProbe:
+    def test_joins_probe_only_executed_plans(self, ray_session, monkeypatch):
+        """No join calls ``schema()`` on a plan that has not run: on a lazy
+        plan that call is a ``limit(1)`` run that cancels the tasks it
+        does not need, and Ray 2.49 has aborted the driver in such a
+        cancel.  A ``schema(fetch_if_missing=False)`` call runs nothing,
+        so the guard lets it through."""
+        import ray
+        import ray.data
+        from ray.data import Dataset
+
+        from spidey_ray.stages.joins import hash_join, join
+        from spidey_ray.stages.windows import asof_join
+
+        real = Dataset.schema
+
+        def guarded(self, fetch_if_missing=True):
+            if fetch_if_missing and not self._plan.has_computed_output():
+                raise AssertionError("schema() probe of an unexecuted plan")
+            return real(self, fetch_if_missing)
+
+        l_df, r_df, _, _ = _mk(ray)
+        ts = pd.Timestamp("2024-01-01")
+        rng = np.random.default_rng(11)
+        ev = {side: pd.DataFrame({
+            "k": rng.integers(0, 20, size=n),
+            "ts": ts + pd.to_timedelta(rng.integers(0, 10**6, size=n),
+                                       unit="s"),
+            side: np.arange(n)}) for side, n in (("lv", 150), ("rv", 120))}
+
+        def lazy(df):
+            return ray.data.from_pandas(df).repartition(7)
+
+        monkeypatch.setattr(Dataset, "schema", guarded)
+        outs = {
+            "join broadcast": join(lazy(l_df), lazy(r_df), on="k"),
+            "join hash": join(lazy(l_df), lazy(r_df), on="k",
+                              broadcast_limit=0),
+            "hash_join": hash_join(lazy(l_df), lazy(r_df), on="k",
+                                   how="left"),
+            "asof_join": asof_join(lazy(ev["lv"]), lazy(ev["rv"]),
+                                   key="k", ts_col="ts"),
+        }
+        rows = {name: ds.materialize().count() for name, ds in outs.items()}
+        monkeypatch.undo()
+        n_inner = len(l_df.merge(r_df, on="k"))
+        assert rows["join broadcast"] == rows["join hash"] == n_inner
+        assert rows["hash_join"] == len(l_df.merge(r_df, on="k", how="left"))
+        lv = ev["lv"].sort_values("ts")
+        want = pd.merge_asof(lv, ev["rv"].sort_values("ts"), on="ts",
+                             by="k", direction="backward").dropna()
+        assert rows["asof_join"] == len(want)

@@ -304,6 +304,22 @@ class TestHashSampleProperties:
                     if hashlib.md5(str(i).encode()).hexdigest()[:8] < thr}
         assert picked(lo) <= picked(hi)
 
+    @given(st.floats(0.0, 1.5), st.lists(st.integers(-10**6, 10**6),
+                                         max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_integer_ranks_keep_the_hex_string_contract(self, frac, ids):
+        """``hash_sample`` compares uint64 ranks with integer thresholds;
+        they keep exactly the rows the md5 hex-prefix comparison keeps
+        (the SQL oracles' form), with 2^32 as keep-all."""
+        import hashlib
+
+        from spidey_ray.stages.sampling import _md5_rank, _thresh
+
+        thr = "g" if frac >= 1.0 else format(int(frac * 0x1_0000_0000), "08x")
+        want = [hashlib.md5(str(i).encode()).hexdigest()[:8] < thr
+                for i in ids]
+        assert (_md5_rank(ids) < np.uint64(_thresh(frac))).tolist() == want
+
 
 _block = st.one_of(
     st.just([]),                                            # empty block
@@ -396,4 +412,97 @@ class TestBlockPartials:
                 for f in files
                 for i, line in enumerate(f.read_text().splitlines(), 1)
                 if "to_arrow_refs(" in line]
+        assert not hits, hits
+
+
+class TestExchange:
+    """``io.exchange``: the engine's one groupby → map_groups path."""
+
+    @staticmethod
+    def _rows(n=600, seed=5):
+        import pandas as pd
+
+        rng = np.random.default_rng(seed)
+        return pd.DataFrame({
+            "k": [f"key{i}" for i in rng.integers(0, 90, size=n)],
+            "v": rng.integers(0, 1000, size=n),
+        })
+
+    def test_matches_serial_fold_at_any_block_count(self, ray_session):
+        import pandas as pd
+        import ray.data
+
+        from spidey_ray.io import exchange, hash_bucket
+
+        df = self._rows()
+        want = (df.groupby("k", as_index=False)["v"].sum()
+                .sort_values("k").reset_index(drop=True))
+
+        def fold(g):
+            assert "_bucket" not in g.columns
+            return g.groupby("k", as_index=False)["v"].sum()
+
+        for n_blocks in (1, 7, 64):
+            ds = ray.data.from_pandas(df).repartition(n_blocks)
+            for by in (lambda t: hash_bucket(t["k"], 8, "test-exchange-00"),
+                       "k"):
+                got = (exchange(ds, by, fold).to_pandas()
+                       .sort_values("k").reset_index(drop=True))
+                got["v"] = got["v"].astype("int64")
+                pd.testing.assert_frame_equal(got, want)
+
+    def test_fn_never_sees_bucket(self, ray_session):
+        import pyarrow as pa
+        import ray.data
+
+        from spidey_ray.io import exchange
+
+        df = self._rows(n=200)
+
+        def by(t):
+            return (np.arange(len(t)) % 5).astype(np.int32)
+
+        def cols_pd(g):
+            return g.assign(cols=",".join(g.columns))[["cols"]]
+
+        def cols_pa(g):
+            return pa.table({"cols": [",".join(g.column_names)] * len(g)})
+
+        ds = ray.data.from_pandas(df).repartition(7)
+        tagged = ds.map_batches(lambda t: t.append_column(
+            "_bucket", pa.array(np.zeros(len(t), dtype=np.int32))),
+            batch_format="pyarrow")
+        for got in (exchange(ds, by, cols_pd),
+                    exchange(ds, by, cols_pa, batch_format="pyarrow"),
+                    exchange(tagged, "_bucket", cols_pd)):
+            assert set(got.to_pandas()["cols"]) == {"k,v"}
+
+    def test_empty_input_gives_no_rows(self, ray_session):
+        import ray.data
+
+        from spidey_ray.io import exchange, hash_bucket
+
+        empty = ray.data.from_pandas(self._rows()).filter(expr="v < 0")
+        out = exchange(empty,
+                       lambda t: hash_bucket(t["k"], 8, "test-exchange-00"),
+                       lambda g: g)
+        assert out.count() == 0
+
+    def test_map_groups_is_called_only_in_io(self):
+        """Every exchange goes through ``io.exchange``, which materializes
+        its input and hides the bucket column; a bare ``.map_groups(``
+        call elsewhere would skip both."""
+        import ast
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        files = [*root.joinpath("spidey_ray").rglob("*.py"),
+                 *root.joinpath("tools").rglob("*.py"),
+                 root / "__ray_entry__.py"]
+        hits = [f"{f.relative_to(root)}:{node.lineno}"
+                for f in files if f != root / "spidey_ray" / "io.py"
+                for node in ast.walk(ast.parse(f.read_text()))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "map_groups"]
         assert not hits, hits
