@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from html.parser import HTMLParser as _StdHTMLParser
 from urllib.parse import urlparse
 
-from .tokenize import (_EXPANSION_SPLIT, INDEX_TOKEN_PATTERN,
-                       expand_contractions, tokenize)
+from .tokenize import index_tokens
 from .urltools import absolute_url
 
 EXCLUDED_PARENTS = frozenset({"style", "script", "head", "title", "meta", "[document]"})
@@ -452,26 +451,12 @@ def tokenized_len(text: str) -> int:
     """len of the space-joined token stream the filter writes per span
     (Filter.py:77: ``elemText += token + " "``).
 
-    C-level counting: one ``findall`` + ``sum(map(len, ...))`` replaces the
-    per-match ``finditer``/``span()`` Python loop (3× measured, and this
-    runs once per span — the single largest non-stdlib cost of the parse
-    hot path); the rare apostrophe tokens are then corrected through the
-    same contraction expansion the tokenizer applies, so totals stay
-    identical."""
-
-    text = text.lower()
-    toks = INDEX_TOKEN_PATTERN.findall(text)
-    if not toks:
-        return 0
-    total = sum(map(len, toks)) + len(toks)
-    if "'" in text:
-        for t in toks:
-            if "'" in t:
-                total -= len(t) + 1
-                for p in _EXPANSION_SPLIT.split(expand_contractions(t)):
-                    if p:
-                        total += len(p) + 1
-    return total
+    C-level counting over ``index_tokens`` (one ``findall``, apostrophe
+    tokens expanded as the tokenizer does) replaces the per-match
+    ``finditer``/``span()`` Python loop (3× measured, and this runs once
+    per span — the single largest non-stdlib cost of the parse hot path)."""
+    toks = index_tokens(text)
+    return sum(map(len, toks)) + len(toks)
 
 
 FAST_PARSE = True   # differential tests flip this to compare both paths

@@ -101,6 +101,24 @@ def tokenize(text: str) -> Iterator[tuple[str, int]]:
             pos += len(t) + 1
 
 
+def index_tokens(text: str) -> list[str]:
+    """The token sequence of ``tokenize(text)`` without positions (a
+    token's position is the running sum of ``len(token) + 1`` before it).
+    One C-level ``findall``; only the rare apostrophe tokens go through
+    contraction expansion and the apostrophe split."""
+    text = text.lower()
+    toks = INDEX_TOKEN_PATTERN.findall(text)
+    if "'" not in text:
+        return toks
+    out: list[str] = []
+    for t in toks:
+        if "'" not in t:
+            out.append(t)
+            continue
+        out.extend(p for p in _EXPANSION_SPLIT.split(expand_contractions(t)) if p)
+    return out
+
+
 def bigram_tokenize(
     tokens_iter: Iterable[tuple[str, int]]
 ) -> Iterator[tuple[str, int]]:

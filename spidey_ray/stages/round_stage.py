@@ -36,7 +36,10 @@ rest of the stage (parse/tokenize/links) stays retryable as-is.
 from __future__ import annotations
 
 import os
+from itertools import chain
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -183,7 +186,7 @@ def round_process_batch(
     trap_rows: dict[str, list] = {k: [] for k in (
         "seq", "link_idx", "pattern", "reason", "temporary")}
 
-    tok_partial: dict[str, int] = {}
+    tok_lists: list[list[str]] = []      # qualifying pages' tokens
     doc_rows: dict[str, list] = {n: [] for n in DOCS_SCHEMA.names}
     first_seq = None
 
@@ -231,8 +234,7 @@ def round_process_batch(
         doc_rows["crawl_seq"].append(base_seq + seq)
 
         if not rec.is_sitemap:
-            for t in tokens:
-                tok_partial[t] = tok_partial.get(t, 0) + 1
+            tok_lists.append(tokens)
 
         # outlink checks (pure part of allurlchecks, scraper.py:357-358)
         for li, link in enumerate(rec.links):
@@ -286,10 +288,14 @@ def round_process_batch(
         return pa.Table.from_arrays(arrays, schema=ROUND_SCHEMA)
 
     parts = [sub_table("rec", rec_rows)]
-    if tok_partial:
+    flat = list(chain.from_iterable(tok_lists))
+    if flat:
+        # block token partial: one factorize + count; uniques come out in
+        # first-seen order across pages, the key order of a dict count
+        codes, uniq = pd.factorize(np.array(flat, dtype=object))
         parts.append(sub_table("tok", {
-            "tok_tokens": [list(tok_partial.keys())],
-            "tok_counts": [list(tok_partial.values())],
+            "tok_tokens": [uniq.tolist()],
+            "tok_counts": [np.bincount(codes, minlength=len(uniq)).tolist()],
         }))
     if cand_rows_["seq"]:
         parts.append(sub_table("cand", cand_rows_))

@@ -1023,6 +1023,50 @@ class TestRetryIdempotency:
         assert rows1 == rows2
         assert out1.to_pydict() == out2.to_pydict()
 
+    def test_round_stage_token_partial_is_a_first_seen_count(
+            self, small_web, oracle_result):
+        """The block's 'tok' row equals a dict count over the crawl tokens
+        of its non-empty, non-sitemap pages, keys in first-seen order
+        across pages (what ``token_partials.parquet`` stores).  A 404 page
+        in the batch counts nothing."""
+        from dataclasses import asdict
+
+        import pyarrow as pa
+
+        from spidey_ray.pipelines.crawl_logic import parse_fetch
+        from spidey_ray.sources import synthetic_web as sw
+        from spidey_ray.stages.round_stage import round_process_batch
+        from spidey_ray.state.politeness import CrawlSettings
+
+        want: dict[str, int] = {}
+        urls, skipped = [], 0
+        for u in oracle_result.fetch_log + ["https://h0.example.com/nope"]:
+            p = sw.fetch(small_web, u)
+            if p.final_url != u:       # redirects pass extra stage gates
+                continue
+            rec, _, tokens = parse_fetch(u, p.final_url, p.status, p.content,
+                                         1, "")
+            urls.append(u)
+            if not rec.empty and not rec.is_sitemap:
+                for t in tokens:
+                    want[t] = want.get(t, 0) + 1
+            else:
+                skipped += 1
+        assert skipped and len(want) > 100
+        batch = pa.table({
+            "seq": pa.array(range(len(urls)), type=pa.int64()),
+            "url": pa.array(urls),
+            "depth": pa.array([1] * len(urls), type=pa.int32()),
+            "parent_url": pa.array([""] * len(urls)),
+        })
+        out = round_process_batch(
+            batch, web_cfg=asdict(small_web), blacklist_patterns=[],
+            settings=CrawlSettings(), doc_dir=None, base_seq=0)
+        tok = out.filter(pa.compute.equal(out["kind"], "tok")).to_pylist()
+        assert len(tok) == 1
+        assert tok[0]["tok_tokens"] == list(want)
+        assert tok[0]["tok_counts"] == list(want.values())
+
 
 class _LinksStub:
     """A ShardedFrontier stand-in that answers ``filter_links`` from a
